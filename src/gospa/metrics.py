@@ -10,11 +10,11 @@ reported by :class:`GospaBreakdown`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-import scipy.optimize
 
 from .assignment import AssignmentSet, solve_full_assignment
 
@@ -65,6 +65,13 @@ class GospaBreakdown:
     cut-off; its ``total_cost`` is the localization cost to the power p.
     For ``alpha != 2`` only ``total`` is meaningful and the decomposition
     fields are ``None``.
+
+    Ties: ``assignment`` is an optimal detected-pair set chosen as follows.
+    Taking truth indices in ascending order, each truth target is paired
+    with the smallest-index estimate it can take while the set stays
+    optimal, and is left unpaired only when no such estimate exists; an
+    unpaired truth ranks after every estimate.  When the optimal set is
+    unique, as it is for inputs in general position, the rule does not act.
     """
 
     total: float
@@ -121,56 +128,158 @@ def _base_distance_matrix(x: np.ndarray, y: np.ndarray, base: BaseDistance) -> n
     return np.abs(diff).sum(axis=2)
 
 
-def _solve_cost_assignment(distances, n_x: int, n_y: int, c: float, p: float):
-    """Cut-off-and-power cost matrix plus its optimal complete assignment.
+class _CutOffGraph(NamedTuple):
+    """The bipartite graph of truth/estimate pairs at base distance below c.
 
-    Returns ``None`` when either set is empty, else ``(costs, pairs,
-    lap_total)`` with pairs as (truth, estimate) tuples sorted by truth.
+    Any other pair costs ``c**p``, as much as leaving both of its targets
+    unassigned, so an optimal assignment splits into the connected
+    components of this graph.  ``forced_*`` are the edges whose two ends
+    have no other edge: every optimum takes them.  ``components`` are the
+    other components that have an edge, each as its sorted truth indices
+    and sorted estimate indices.  None of it depends on p.
     """
-    if n_x == 0 or n_y == 0:
+
+    distances: np.ndarray
+    forced_rows: list[int]
+    forced_cols: list[int]
+    forced_distances: np.ndarray
+    components: list[tuple[list[int], list[int]]]
+
+
+def _connected_components(edge: np.ndarray, starts: np.ndarray):
+    """The connected components of the bipartite graph with adjacency
+    matrix ``edge`` that hold a row of ``starts``, as sorted rows and
+    sorted columns.
+
+    Grows each component breadth-first, a whole layer per step, so the
+    work per component is a few array operations whatever its size.
+    """
+    unvisited = np.zeros(edge.shape[0], dtype=bool)
+    unvisited[starts] = True
+    components = []
+    for start in starts.tolist():
+        if not unvisited[start]:
+            continue
+        rows = np.array([start])
+        while True:
+            cols = np.flatnonzero(edge[rows].any(axis=0))
+            grown = np.flatnonzero(edge[:, cols].any(axis=1))
+            if len(grown) == len(rows):  # rows only ever grow
+                break
+            rows = grown
+        unvisited[rows] = False
+        components.append((rows.tolist(), cols.tolist()))
+    return components
+
+
+def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance,
+                   c: float) -> Optional[_CutOffGraph]:
+    """The graph of pairs with base distance < c; ``None`` if a set is empty."""
+    if len(xs) == 0 or len(ys) == 0:
         return None
-    costs = np.minimum(distances, c) ** p
-    if n_x <= n_y:
-        solution = solve_full_assignment(costs)
-        pairs = solution.pairs
-    else:
-        solution = solve_full_assignment(costs.T)
-        pairs = tuple(sorted((i, j) for j, i in solution.pairs))
-    return costs, pairs, solution.total_cost
+    distances = _base_distance_matrix(xs, ys, base)
+    edge = distances < c
+    rows, cols = np.nonzero(edge)
+    row_degree = np.bincount(rows, minlength=len(xs))
+    col_degree = np.bincount(cols, minlength=len(ys))
+    forced = (row_degree[rows] == 1) & (col_degree[cols] == 1)
+    forced_rows, forced_cols = rows[forced], cols[forced]
+    return _CutOffGraph(
+        distances=distances,
+        forced_rows=forced_rows.tolist(),
+        forced_cols=forced_cols.tolist(),
+        forced_distances=distances[forced_rows, forced_cols],
+        components=_connected_components(edge, np.unique(rows[~forced])),
+    )
 
 
-def _totals_from_assignment(solved, distances, n_x: int, n_y: int,
-                            c: float, alpha: float, p: float):
-    """Evaluate GOSPA**p given the solved assignment.
+def _component_pairs(distances: np.ndarray, rows: list[int], cols: list[int],
+                     c: float, p: float, cut_entry: float):
+    """The detected pairs of one component, with their costs.
+
+    Truths are rows and estimates columns, followed by dummy columns at
+    ``c**p`` that stand for leaving a truth unpaired.  Pairs that are not
+    edges cost more than ``c**p``, so no optimum uses them.  Among optimal
+    assignments the solver returns the lexicographically smallest, and as
+    the dummy columns come after the real ones, that realizes the tie rule
+    of :func:`gospa` on this component.
+    """
+    block = distances[np.ix_(rows, cols)]
+    edge = block < c
+    costs = np.minimum(block, c) ** p
+    costs[~edge] = min(2.0 * cut_entry, sys.float_info.max)
+    # an optimal gamma leaves a truth unpaired only when all of that truth's
+    # estimates are paired, so it pairs at least the smallest row degree
+    n_rows, n_cols = costs.shape
+    dummies = max(0, n_rows - int(edge.sum(axis=1).min()))
+    matrix = np.hstack([costs, np.full((n_rows, dummies), cut_entry)]) if dummies else costs
+    solution = solve_full_assignment(matrix)
+    return [(rows[r], cols[k], float(costs[r, k]))
+            for r, k in solution.pairs if k < n_cols and edge[r, k]]
+
+
+def _detected_pairs(graph: Optional[_CutOffGraph], c: float, p: float):
+    """The optimal detected-pair set γ for exponent p, solved component by
+    component; ``None`` when a set is empty.
+
+    Returns ``(pairs, cut_entry)``: the pairs as (truth, estimate, cost)
+    sorted by truth, and ``c**p`` as a cost entry holds it.
+    """
+    if graph is None:
+        return None
+    # an array power, like every cost entry: for some p NumPy's array power
+    # and Python's float power differ in the last bit
+    cut_entry = float((np.full(1, c) ** p)[0])
+    if not math.isfinite(cut_entry):
+        raise ValueError("cost matrix entries must be finite")
+    costs = (graph.forced_distances ** p).tolist()
+    pairs = list(zip(graph.forced_rows, graph.forced_cols, costs))  # sorted by truth
+    for rows, cols in graph.components:
+        pairs.extend(_component_pairs(graph.distances, rows, cols, c, p, cut_entry))
+    if graph.components:
+        pairs.sort()
+    return pairs, cut_entry
+
+
+def _totals(detected, n_x: int, n_y: int, c: float, alpha: float, p: float):
+    """Evaluate GOSPA**p from the result of :func:`_detected_pairs`.
 
     Returns ``(total_p, gamma, missed, false, localization_p)`` where the
     last four are ``None`` unless ``alpha == 2``.
     """
     cut_p = c ** p
-    if solved is None:
+    if detected is None:
         total_p = (cut_p / alpha) * (n_x + n_y)
         if alpha == 2.0:
             return total_p, (), n_x, n_y, 0.0
         return total_p, None, None, None, None
-    costs, pairs, lap_total = solved
+    pairs, cut_entry = detected
     if alpha == 2.0:
-        # pairs at or beyond the cut-off count as one miss plus one false
-        # target instead, which costs the same (c**p = 2 * c**p / 2)
-        gamma = tuple((i, j) for i, j in pairs if distances[i, j] < c)
+        gamma = tuple((i, j) for i, j, _ in pairs)
         localization_p = 0.0
-        for i, j in gamma:
-            localization_p += float(costs[i, j])
+        for _, _, cost in pairs:
+            localization_p += cost
         missed = n_x - len(gamma)
         false = n_y - len(gamma)
         total_p = localization_p + (cut_p / 2.0) * (missed + false)
         return total_p, gamma, missed, false, localization_p
+    # the complete assignment of the smaller set, summed in its index order;
+    # a target outside gamma is paired at the cut-off
+    if n_x <= n_y:
+        n_small, partner_cost = n_x, {i: cost for i, _, cost in pairs}
+    else:
+        n_small, partner_cost = n_y, {j: cost for _, j, cost in pairs}
+    lap_total = 0.0
+    for k in range(n_small):
+        lap_total += partner_cost.get(k, cut_entry)
     total_p = lap_total + (cut_p / alpha) * abs(n_y - n_x)
     return total_p, None, None, None, None
 
 
-def _evaluate(distances, n_x: int, n_y: int, c: float, alpha: float, p: float):
-    solved = _solve_cost_assignment(distances, n_x, n_y, c, p)
-    return _totals_from_assignment(solved, distances, n_x, n_y, c, alpha, p)
+def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance,
+              c: float, alpha: float, p: float):
+    detected = _detected_pairs(_cut_off_graph(xs, ys, base, c), c, p)
+    return _totals(detected, len(xs), len(ys), c, alpha, p)
 
 
 def cutoff_distance(x, y, c: float, base_distance: BaseDistance = "euclidean") -> float:
@@ -195,14 +304,18 @@ def gospa(x, y, params: GospaParams) -> GospaBreakdown:
     ``params.alpha == 2``; for other alpha values only ``total`` is set.
     Both sets empty gives 0; if one set is empty the distance is
     ``((c**p / alpha) * cardinality) ** (1/p)``.
+
+    On cost ties the detected pairs follow the rule stated on
+    :class:`GospaBreakdown`: truths in ascending index order each take the
+    smallest-index estimate that keeps the pair set optimal, and stay
+    unpaired only when none does.  The rule holds per connected component
+    of the pairs closer than c and does not depend on which set is larger.
     """
     xs = as_state_array(x)
     ys = as_state_array(y)
     _require_same_dimension(xs, ys)
-    n_x, n_y = len(xs), len(ys)
-    distances = _base_distance_matrix(xs, ys, params.base_distance) if n_x and n_y else None
     total_p, gamma, missed, false, localization_p = _evaluate(
-        distances, n_x, n_y, params.c, params.alpha, params.p)
+        xs, ys, params.base_distance, params.c, params.alpha, params.p)
     total = total_p ** (1.0 / params.p)
     if gamma is None:
         return GospaBreakdown(total=total)
@@ -226,6 +339,8 @@ def gospa_permutation_form(x, y, params: GospaParams) -> float:
     adds the cardinality term.  Agrees with :func:`gospa` for every alpha;
     kept as a separately coded path for cross-checking.
     """
+    from scipy.optimize import linear_sum_assignment  # SciPy is slow to import
+
     xs = as_state_array(x)
     ys = as_state_array(y)
     _require_same_dimension(xs, ys)
@@ -239,7 +354,7 @@ def gospa_permutation_form(x, y, params: GospaParams) -> float:
         return ((cut_p / params.alpha) * n_large) ** (1.0 / params.p)
     distances = _base_distance_matrix(xs, ys, params.base_distance)
     costs = np.minimum(distances, params.c) ** params.p
-    rows, cols = scipy.optimize.linear_sum_assignment(costs)
+    rows, cols = linear_sum_assignment(costs)
     inner = float(costs[rows, cols].sum())
     total_p = inner + (cut_p / params.alpha) * (n_large - n_small)
     return total_p ** (1.0 / params.p)
@@ -255,12 +370,10 @@ def ospa(x, y, c: float, p: float = 1.0, base_distance: BaseDistance = "euclidea
     xs = as_state_array(x)
     ys = as_state_array(y)
     _require_same_dimension(xs, ys)
-    n_x, n_y = len(xs), len(ys)
-    n_max = max(n_x, n_y)
+    n_max = max(len(xs), len(ys))
     if n_max == 0:
         return 0.0
-    distances = _base_distance_matrix(xs, ys, params.base_distance) if n_x and n_y else None
-    total_p = _evaluate(distances, n_x, n_y, params.c, 1.0, params.p)[0]
+    total_p = _evaluate(xs, ys, params.base_distance, params.c, 1.0, params.p)[0]
     return (total_p / n_max) ** (1.0 / params.p)
 
 

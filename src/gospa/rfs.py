@@ -11,6 +11,7 @@ samples are distributed over workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
@@ -19,9 +20,10 @@ import numpy as np
 
 from .metrics import (
     GospaParams,
-    _base_distance_matrix,
-    _solve_cost_assignment,
-    _totals_from_assignment,
+    _cut_off_graph,
+    _detected_pairs,
+    _evaluate,
+    _totals,
     as_state_array,
 )
 
@@ -233,30 +235,31 @@ def _canonical_variant(variant: str) -> str:
 
 def _sample_metric_value(xs: np.ndarray, ys: np.ndarray, params: GospaParams,
                          variant: str) -> float:
-    n_x, n_y = len(xs), len(ys)
-    distances = _base_distance_matrix(xs, ys, params.base_distance) if n_x and n_y else None
     if variant == "ospa":
-        n_max = max(n_x, n_y)
+        n_max = max(len(xs), len(ys))
         if n_max == 0:
             return 0.0
-        solved = _solve_cost_assignment(distances, n_x, n_y, params.c, params.p)
-        total_p = _totals_from_assignment(solved, distances, n_x, n_y,
-                                          params.c, 1.0, params.p)[0]
+        total_p = _evaluate(xs, ys, params.base_distance, params.c, 1.0, params.p)[0]
         return (total_p / n_max) ** (1.0 / params.p)
     alpha = params.alpha if variant == "gospa" else 1.0
-    solved = _solve_cost_assignment(distances, n_x, n_y, params.c, params.p)
-    total_p = _totals_from_assignment(solved, distances, n_x, n_y,
-                                      params.c, alpha, params.p)[0]
+    total_p = _evaluate(xs, ys, params.base_distance, params.c, alpha, params.p)[0]
     return total_p ** (1.0 / params.p)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
 
 
 def _run_blocks(total: int, workers: int, task: Callable[[int, int], None]) -> None:
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if workers == 1 or total <= 1:
+    n_blocks = min(workers, _usable_cpus(), total)
+    if n_blocks <= 1:
         task(0, total)
         return
-    n_blocks = min(workers, total)
     step = -(-total // n_blocks)
     bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     with ThreadPoolExecutor(max_workers=n_blocks) as pool:
@@ -385,14 +388,12 @@ def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0,
                 for k in range(lo, hi):
                     xs, ys = sampler.sample_pair(derive_sample_seed(master_seed, k))
                     n_x, n_y = len(xs), len(ys)
-                    distances = (_base_distance_matrix(xs, ys, "euclidean")
-                                 if n_x and n_y else None)
+                    # which pairs lie below the cut-off does not depend on p
+                    graph = _cut_off_graph(xs, ys, "euclidean", c)
                     for p in TABLE1_EXPONENTS:
-                        solved = _solve_cost_assignment(distances, n_x, n_y, c, p)
-                        total_p_2 = _totals_from_assignment(
-                            solved, distances, n_x, n_y, c, 2.0, p)[0]
-                        total_p_1 = _totals_from_assignment(
-                            solved, distances, n_x, n_y, c, 1.0, p)[0]
+                        detected = _detected_pairs(graph, c, p)
+                        total_p_2 = _totals(detected, n_x, n_y, c, 2.0, p)[0]
+                        total_p_1 = _totals(detected, n_x, n_y, c, 1.0, p)[0]
                         gospa_value = total_p_2 ** (1.0 / p)
                         uospa_value = total_p_1 ** (1.0 / p)
                         n_max = max(n_x, n_y)

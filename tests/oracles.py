@@ -14,6 +14,10 @@ def euclidean(x, y) -> float:
     return math.dist(tuple(x), tuple(y))
 
 
+def manhattan(x, y) -> float:
+    return sum(abs(a - b) for a, b in zip(x, y))
+
+
 def iter_assignment_sets(n_x: int, n_y: int):
     """Every partial one-to-one pairing between range(n_x) and range(n_y),
     including the empty pairing."""
@@ -36,6 +40,30 @@ def gospa_alpha2_assignment_oracle(x, y, c: float, p: float) -> float:
         if cost < best:
             best = cost
     return best ** (1.0 / p)
+
+
+def gospa_alpha2_gamma_oracle(x, y, c: float, p: float, distance=euclidean):
+    """The detected-pair set GOSPA with alpha = 2 reports, by exhaustive search.
+
+    Among the minimum-cost assignment sets made of pairs at distance below
+    c, returns the one with the smallest key: per truth index, its
+    estimate's index, or ``len(y)`` when the truth is unpaired.  Ties are
+    real only when the costs are exact, as with integer coordinates and
+    the Manhattan base.
+    """
+    n_x, n_y = len(x), len(y)
+    d = [[distance(a, b) for b in y] for a in x]
+    half_cut_p = c ** p / 2.0
+    best_cost, best_key, best = math.inf, (), ()
+    for gamma in iter_assignment_sets(n_x, n_y):
+        if any(d[i][j] >= c for i, j in gamma):
+            continue
+        cost = sum(d[i][j] ** p for i, j in gamma) + half_cut_p * (n_x + n_y - 2 * len(gamma))
+        partner = dict(gamma)
+        key = tuple(partner.get(i, n_y) for i in range(n_x))
+        if cost < best_cost or (cost == best_cost and key < best_key):
+            best_cost, best_key, best = cost, key, gamma
+    return best
 
 
 def gospa_permutation_oracle(x, y, c: float, alpha: float, p: float) -> float:

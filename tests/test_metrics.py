@@ -1,6 +1,9 @@
 """Tests for the GOSPA / OSPA metric family."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gospa.assignment import solve_full_assignment
 from gospa.metrics import (
     GospaParams,
     as_state_array,
@@ -18,7 +22,12 @@ from gospa.metrics import (
     unnormalized_ospa_closed_form,
 )
 
-from oracles import gospa_alpha2_assignment_oracle, gospa_permutation_oracle
+from oracles import (
+    gospa_alpha2_assignment_oracle,
+    gospa_alpha2_gamma_oracle,
+    gospa_permutation_oracle,
+    manhattan,
+)
 
 # Two well-separated truths, one close estimate pair, one far clutter point.
 EXAMPLE_TRUTH = [[0.0, 0.0], [100.0, 0.0]]
@@ -319,3 +328,133 @@ def test_as_state_array_shapes():
         as_state_array([1.0, 2.0])
     with pytest.raises(ValueError):
         as_state_array([[[1.0]]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_cutoff_power_is_a_value_error():
+    with pytest.raises(ValueError, match="finite"):
+        gospa([[0.0, 0.0]], [[100.0, 0.0]], GospaParams(c=8.0, p=400.0))
+    with pytest.raises(ValueError, match="finite"):
+        ospa([[0.0, 0.0]], [[1.0, 0.0]], c=8.0, p=400.0)
+
+
+def test_import_does_not_load_scipy():
+    import gospa
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gospa.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, gospa; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+# --- the detected-pair set on ties -------------------------------------------
+
+def lattice_sets(max_size=5):
+    return st.integers(0, max_size).flatmap(
+        lambda n: arrays(np.float64, (n, 2), elements=st.integers(0, 4).map(float)))
+
+
+def manhattan_pairs(x, y, c, p=1.0):
+    params = GospaParams(c=c, alpha=2.0, p=p, base_distance="manhattan")
+    return gospa(x, y, params).assignment.pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_sets(), lattice_sets(), st.integers(1, 5), st.sampled_from([1.0, 2.0]))
+def test_gamma_matches_tie_oracle_on_lattice(x, y, c, p):
+    # integer coordinates, Manhattan distances and an integer cut-off keep
+    # every cost exact, so ties are real ties
+    assert manhattan_pairs(x, y, float(c), p) == gospa_alpha2_gamma_oracle(
+        x.tolist(), y.tolist(), float(c), p, distance=manhattan)
+
+
+class TestComponentGamma:
+    """Inputs whose d < c graph has a vertex of degree two or more."""
+
+    def test_star_takes_smallest_estimate(self):
+        truth = [[0.0, 0.0], [50.0, 0.0]]
+        estimate = [[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [50.0, 1.0]]
+        assert manhattan_pairs(truth, estimate, 3.0) == ((0, 0), (1, 3))
+
+    def test_star_of_truths_pairs_first_truth(self):
+        truth = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+        assert manhattan_pairs(truth, [[0.0, 0.0]], 3.0) == ((0, 0),)
+
+    def test_chain_pairs_truths_in_order(self):
+        truth = [[0.0], [2.0], [4.0]]
+        estimate = [[1.0], [3.0]]
+        assert manhattan_pairs(truth, estimate, 2.0) == ((0, 0), (1, 1))
+        assert manhattan_pairs(truth, estimate, 2.0) == gospa_alpha2_gamma_oracle(
+            truth, estimate, 2.0, 1.0, distance=manhattan)
+
+    def test_false_target_within_cutoff_of_two_truths(self):
+        truth = [[0.0, 0.0], [4.0, 0.0]]
+        estimate = [[2.0, 0.0], [0.0, 0.5], [4.0, 0.5]]
+        params = GospaParams(c=3.0, alpha=2.0, p=2.0)
+        result = gospa(truth, estimate, params)
+        assert result.assignment.pairs == ((0, 1), (1, 2))
+        assert result.false_count == 1 and result.missed_count == 0
+        assert result.total == pytest.approx(math.sqrt(0.25 + 0.25 + 4.5))
+        assert result.assignment.pairs == gospa_alpha2_gamma_oracle(truth, estimate, 3.0, 2.0)
+
+    def test_pairing_ranks_before_a_tied_unpairing(self):
+        # both truths paired (1 + 3) ties with only the second one paired at
+        # distance 0 plus a miss and a false target (0 + 2 + 2)
+        assert manhattan_pairs([[0.0], [1.0]], [[4.0], [1.0]], 4.0) == ((0, 1), (1, 0))
+
+    def test_unpaired_truth_ranks_after_every_estimate(self):
+        # either truth can take the middle estimate at equal cost; the first
+        # truth does, even though the far estimate has the smaller index
+        truth = [[0.0, 0.0], [2.0, 0.0]]
+        estimate = [[100.0, 0.0], [1.0, 0.0]]
+        assert manhattan_pairs(truth, estimate, 3.0) == ((0, 1),)
+
+
+# --- cross-check against one exact solve of the whole cut-off matrix --------
+
+def whole_matrix_reference(x, y, c, p):
+    """GOSPA**p (alpha 2), unnormalized OSPA**p and gamma from an exact
+    assignment of the smaller set over the whole cut-off matrix."""
+    distances = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    costs = np.minimum(distances, c) ** p
+    if len(x) <= len(y):
+        solution = solve_full_assignment(costs)
+        pairs = solution.pairs
+    else:
+        solution = solve_full_assignment(costs.T)
+        pairs = tuple(sorted((i, j) for j, i in solution.pairs))
+    gamma = tuple((i, j) for i, j in pairs if distances[i, j] < c)
+    localization = sum(costs[i, j] for i, j in gamma)
+    gospa_p = localization + c ** p / 2.0 * (len(x) + len(y) - 2 * len(gamma))
+    uospa_p = solution.total_cost + c ** p * abs(len(x) - len(y))
+    return gospa_p, uospa_p, gamma
+
+
+def geometry(kind, n, rng, c):
+    if kind == "spread":
+        return rng.uniform(0.0, 15.0 * c, (n, 2))
+    if kind == "clustered":  # diameter below c: every pair is an edge
+        return rng.uniform(0.0, 0.7 * c, (n, 2))
+    centres = rng.uniform(0.0, 12.0 * c, (max(1, n // 4), 2))
+    return centres[rng.integers(0, len(centres), n)] + rng.normal(0.0, 0.6 * c, (n, 2))
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered", "mixed"])
+@pytest.mark.parametrize("n_x, n_y", [(60, 45), (45, 60), (30, 30), (7, 12), (12, 7)])
+@pytest.mark.parametrize("seed, p", [(0, 1.0), (1, 1.5), (2, 2.0)])
+def test_matches_whole_matrix_solve(kind, n_x, n_y, seed, p):
+    rng = np.random.default_rng([seed, n_x, n_y])
+    c = 5.0
+    if kind == "mixed":  # truths and estimates share the clusters
+        points = geometry(kind, n_x + n_y, rng, c)
+        x, y = points[:n_x], points[n_x:]
+    else:
+        x, y = geometry(kind, n_x, rng, c), geometry(kind, n_y, rng, c)
+    gospa_p, uospa_p, gamma = whole_matrix_reference(x, y, c, p)
+    result = gospa(x, y, GospaParams(c=c, alpha=2.0, p=p))
+    assert result.assignment.pairs == gamma
+    assert result.total ** p == pytest.approx(gospa_p, rel=1e-12)
+    uospa = gospa(x, y, GospaParams(c=c, alpha=1.0, p=p)).total
+    assert uospa ** p == pytest.approx(uospa_p, rel=1e-12)
+    assert ospa(x, y, c=c, p=p) ** p == pytest.approx(uospa_p / max(n_x, n_y), rel=1e-12)

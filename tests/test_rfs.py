@@ -1,10 +1,12 @@
 """Tests for multi-Bernoulli models, sampling and the Monte Carlo estimators."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from gospa import rfs
 from gospa.metrics import GospaParams, gospa, ospa
 from gospa.rfs import (
     BernoulliComponent,
@@ -218,6 +220,36 @@ class TestEstimateMetric:
         with pytest.raises(ValueError, match="variant"):
             estimate_metric(sampler, GospaParams(c=8.0), EstimatorConfig(samples=2),
                             variant="hausdorff")
+
+    def test_single_cpu_runs_serially(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no thread pool should start")
+
+        sampler = table1_scenario(0, 1)
+        params = GospaParams(c=8.0, alpha=2.0, p=1.0)
+        cfg = EstimatorConfig(samples=16, master_seed=3)
+        serial = estimate_metric(sampler, params, cfg)
+        monkeypatch.setattr(rfs, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(rfs, "ThreadPoolExecutor", no_pool)
+        assert estimate_metric(sampler, params, cfg, workers=4) == serial
+
+    def test_pool_is_capped_by_cpus_and_blocks(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(rfs, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(rfs, "ThreadPoolExecutor", RecordingPool)
+        done = []
+        rfs._run_blocks(10, 6, lambda lo, hi: done.extend(range(lo, hi)))
+        rfs._run_blocks(3, 6, lambda lo, hi: None)
+        monkeypatch.setattr(rfs, "_usable_cpus", lambda: 8)
+        rfs._run_blocks(3, 6, lambda lo, hi: None)
+        assert sizes == [2, 2, 3]
+        assert sorted(done) == list(range(10))
 
     def test_rejects_bad_workers(self):
         sampler = table1_scenario(0, 0)
