@@ -161,6 +161,73 @@ class TestCompute:
         assert "internal error" in err
 
 
+def _lines(*lines, end="\n"):
+    return "".join(line + end for line in lines)
+
+
+_CSV_HEADER = ("metric,c,alpha,p,truth_size,estimate_size,total,localization_cost_p,"
+               "missed_count,false_count,missed_cost_p,false_cost_p,assignment")
+_COMPUTE_CONFIG = {"c": 8.0, "p": 1.0, "base_distance": "euclidean"}
+
+# Exact stdout of `compute` on the example files (truth, with_false), by
+# metric and format.
+COMPUTE_GOLDEN = {
+    ("gospa", "text"): _lines(
+        "metric: gospa",
+        "c: 8   alpha: 2   p: 1   base: euclidean",
+        "truth size: 2   estimate size: 2",
+        "total: 9",
+        "localization cost^p: 1",
+        "missed targets: 1 (cost^p: 4)",
+        "false targets: 1 (cost^p: 4)",
+        "assignment (truth->estimate): 0->0"),
+    ("gospa", "json"): json.dumps({
+        "command": "compute", "metric": "gospa",
+        "config": {**_COMPUTE_CONFIG, "alpha": 2.0},
+        "truth_size": 2, "estimate_size": 2, "total": 9.0,
+        "decomposition": {"localization_cost_p": 1.0, "missed_count": 1, "false_count": 1,
+                          "missed_cost_p": 4.0, "false_cost_p": 4.0},
+        "assignment": [[0, 0]],
+    }, indent=2) + "\n",
+    ("gospa", "csv"): _lines(_CSV_HEADER, "gospa,8,2,1,2,2,9,1,1,1,4,4,0:0", end="\r\n"),
+    ("ospa", "text"): _lines(
+        "metric: ospa",
+        "c: 8   p: 1   base: euclidean",
+        "truth size: 2   estimate size: 2",
+        "total: 4.5"),
+    ("ospa", "json"): json.dumps({
+        "command": "compute", "metric": "ospa", "config": _COMPUTE_CONFIG,
+        "truth_size": 2, "estimate_size": 2, "total": 4.5,
+    }, indent=2) + "\n",
+    ("ospa", "csv"): _lines(_CSV_HEADER, "ospa,8,,1,2,2,4.5,,,,,,", end="\r\n"),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("metric,fmt", sorted(COMPUTE_GOLDEN))
+    def test_compute_exact_stdout(self, capsys, example_files, metric, fmt):
+        truth, with_false, _ = example_files
+        code, out, _ = run_cli(capsys, "compute", truth, with_false, "--c", "8",
+                               "--metric", metric, "--format", fmt)
+        assert code == 0
+        assert out == COMPUTE_GOLDEN[metric, fmt]
+
+    def test_compute_precision_exact_stdout(self, capsys, example_files):
+        truth, with_false, _ = example_files
+        code, out, _ = run_cli(capsys, "compute", truth, with_false, "--c", "8",
+                               "--p", "2", "--precision", "12")
+        assert code == 0
+        assert out == _lines(
+            "metric: gospa",
+            "c: 8   alpha: 2   p: 2   base: euclidean",
+            "truth size: 2   estimate size: 2",
+            "total: 8.0622577483",
+            "localization cost^p: 1",
+            "missed targets: 1 (cost^p: 32)",
+            "false targets: 1 (cost^p: 32)",
+            "assignment (truth->estimate): 0->0")
+
+
 class TestMean:
     @pytest.fixture
     def degenerate_models(self, tmp_path):
@@ -187,6 +254,14 @@ class TestMean:
                                  metrics.GospaParams(c=8.0)).total
         assert payload["value"] == pytest.approx(expected, rel=1e-6)
         assert payload["standard_error"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_csv_exact_stdout(self, capsys, degenerate_models):
+        truth, estimate = degenerate_models
+        code, out, _ = run_cli(capsys, "mean", truth, estimate, "--c", "8",
+                               "--samples", "32", "--format", "csv")
+        assert code == 0
+        assert out == _lines("metric,c,alpha,p,p_prime,samples,seed,value,standard_error",
+                             "gospa,8,2,1,1,32,0,2.94295,0", end="\r\n")
 
     def test_table_scenario_models_via_files(self, capsys, tmp_path):
         sampler = rfs.table1_scenario(2, 0)
