@@ -9,9 +9,7 @@ from .metrics import (
     as_state_array,
     cutoff_distance,
     gospa,
-    gospa_permutation_form,
     ospa,
-    unnormalized_ospa_closed_form,
 )
 from .rfs import (
     BernoulliComponent,
@@ -49,11 +47,9 @@ __all__ = [
     "derive_sample_seed",
     "estimate_metric",
     "gospa",
-    "gospa_permutation_form",
     "ospa",
     "run_table1",
     "sample_multi_bernoulli",
     "solve_full_assignment",
     "table1_scenario",
-    "unnormalized_ospa_closed_form",
 ]

@@ -44,22 +44,16 @@ def _print_csv(header: list[str], rows: list[list], comment: str | None = None) 
 def _cmd_compute(args) -> int:
     truth = documents.read_point_set(args.truth)
     estimate = documents.read_point_set(args.estimate)
-    params = metrics.GospaParams(
-        c=args.c,
-        alpha=args.alpha if args.metric == "gospa" else 1.0,
-        p=args.p,
-        base_distance=args.base_distance,
-    )
+    alpha = args.alpha if args.metric == "gospa" else 1.0
+    params = metrics.GospaParams(c=args.c, alpha=alpha, p=args.p, base_distance=args.base_distance)
     precision = args.precision
-    breakdown = None
-    if args.metric == "gospa":
-        breakdown = metrics.gospa(truth, estimate, params)
-        total = breakdown.total
-    elif args.metric == "uospa":
-        total = metrics.gospa(truth, estimate, params).total
-    else:
+    if args.metric == "ospa":
+        breakdown = None
         total = metrics.ospa(truth, estimate, c=args.c, p=args.p,
                              base_distance=args.base_distance)
+    else:
+        breakdown = metrics.gospa(truth, estimate, params)
+        total = breakdown.total
 
     config = {"c": args.c, "p": args.p, "base_distance": args.base_distance}
     if args.metric == "gospa":
@@ -109,7 +103,7 @@ def _cmd_compute(args) -> int:
         print(line)
         print(f"truth size: {len(truth)}   estimate size: {len(estimate)}")
         print(f"total: {_fmt(total, precision)}")
-        if breakdown is not None:
+        if args.metric == "gospa":
             if breakdown.has_decomposition:
                 print(f"localization cost^p: {_fmt(breakdown.localization_cost_p, precision)}")
                 print(f"missed targets: {breakdown.missed_count} "
@@ -235,50 +229,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    common_format = dict(choices=("text", "json", "csv"), default="text")
+    metric_options = argparse.ArgumentParser(add_help=False)
+    metric_options.add_argument("--c", type=float, required=True, help="cut-off distance")
+    metric_options.add_argument("--alpha", type=float, default=2.0,
+                                help="GOSPA alpha in (0, 2] (used by --metric gospa)")
+    metric_options.add_argument("--p", type=float, default=1.0, help="exponent in [1, inf)")
+    metric_options.add_argument("--metric", choices=("gospa", "ospa", "uospa"),
+                                default="gospa")
+    metric_options.add_argument("--base-distance", choices=("euclidean", "manhattan"),
+                                default="euclidean")
+    sampling_options = argparse.ArgumentParser(add_help=False)
+    sampling_options.add_argument("--samples", type=int, default=1000)
+    sampling_options.add_argument("--seed", type=int, default=0)
+    sampling_options.add_argument("--workers", type=int, default=1)
+    output_options = argparse.ArgumentParser(add_help=False)
+    output_options.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    output_options.add_argument("--precision", type=int, default=6,
+                                help="significant digits in printed numbers")
 
     compute = subparsers.add_parser(
-        "compute", help="metric between two point-set files (JSON or CSV)")
+        "compute", parents=[metric_options, output_options],
+        help="metric between two point-set files (JSON or CSV)")
     compute.add_argument("truth", help="truth point-set file")
     compute.add_argument("estimate", help="estimate point-set file")
-    compute.add_argument("--c", type=float, required=True, help="cut-off distance")
-    compute.add_argument("--alpha", type=float, default=2.0,
-                         help="GOSPA alpha in (0, 2] (used by --metric gospa)")
-    compute.add_argument("--p", type=float, default=1.0, help="exponent in [1, inf)")
-    compute.add_argument("--metric", choices=("gospa", "ospa", "uospa"), default="gospa")
-    compute.add_argument("--base-distance", choices=("euclidean", "manhattan"),
-                         default="euclidean")
-    compute.add_argument("--format", **common_format)
-    compute.add_argument("--precision", type=int, default=6,
-                         help="significant digits in printed numbers")
     compute.set_defaults(func=_cmd_compute)
 
     mean = subparsers.add_parser(
-        "mean", help="Monte Carlo metric estimate between two multi-Bernoulli model files")
+        "mean", parents=[metric_options, sampling_options, output_options],
+        help="Monte Carlo metric estimate between two multi-Bernoulli model files")
     mean.add_argument("truth_model", help="truth model file")
     mean.add_argument("estimate_model", help="estimate model file")
-    mean.add_argument("--c", type=float, required=True, help="cut-off distance")
-    mean.add_argument("--alpha", type=float, default=2.0)
-    mean.add_argument("--p", type=float, default=1.0)
     mean.add_argument("--p-prime", type=float, default=None,
                       help="outer exponent p' (defaults to p)")
-    mean.add_argument("--samples", type=int, default=1000)
-    mean.add_argument("--seed", type=int, default=0)
-    mean.add_argument("--metric", choices=("gospa", "ospa", "uospa"), default="gospa")
-    mean.add_argument("--base-distance", choices=("euclidean", "manhattan"),
-                      default="euclidean")
-    mean.add_argument("--workers", type=int, default=1)
-    mean.add_argument("--format", **common_format)
-    mean.add_argument("--precision", type=int, default=6)
     mean.set_defaults(func=_cmd_mean)
 
     table1 = subparsers.add_parser(
-        "table1", help="estimate the benchmark grid over missed/false counts (c=8)")
-    table1.add_argument("--samples", type=int, default=1000)
-    table1.add_argument("--seed", type=int, default=0)
-    table1.add_argument("--workers", type=int, default=1)
-    table1.add_argument("--format", **common_format)
-    table1.add_argument("--precision", type=int, default=6)
+        "table1", parents=[sampling_options, output_options],
+        help="estimate the benchmark grid over missed/false counts (c=8)")
     table1.set_defaults(func=_cmd_table1)
 
     return parser

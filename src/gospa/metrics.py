@@ -10,9 +10,10 @@ reported by :class:`GospaBreakdown`.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class GospaParams:
     base_distance: BaseDistance = "euclidean"
 
     def __post_init__(self):
+        if not all(isinstance(value, numbers.Real) for value in (self.c, self.alpha, self.p)):
+            raise ValueError("c, alpha and p must be real numbers")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError("cut-off c must be positive and finite")
         if not 0.0 < self.alpha <= 2.0:
@@ -220,13 +223,14 @@ def _component_pairs(distances: np.ndarray, rows: list[int], cols: list[int],
 
 def _detected_pairs(graph: Optional[_CutOffGraph], c: float, p: float):
     """The optimal detected-pair set γ for exponent p, solved component by
-    component; ``None`` when a set is empty.
+    component.
 
     Returns ``(pairs, cut_entry)``: the pairs as (truth, estimate, cost)
-    sorted by truth, and ``c**p`` as a cost entry holds it.
+    sorted by truth, and ``c**p`` as a cost entry holds it (``None`` when a
+    set is empty and no cost entry exists).
     """
     if graph is None:
-        return None
+        return [], None
     # an array power, like every cost entry: for some p NumPy's array power
     # and Python's float power differ in the last bit
     cut_entry = float((np.full(1, c) ** p)[0])
@@ -244,25 +248,26 @@ def _detected_pairs(graph: Optional[_CutOffGraph], c: float, p: float):
 def _totals(detected, n_x: int, n_y: int, c: float, alpha: float, p: float):
     """Evaluate GOSPA**p from the result of :func:`_detected_pairs`.
 
-    Returns ``(total_p, gamma, missed, false, localization_p)`` where the
-    last four are ``None`` unless ``alpha == 2``.
+    Returns ``(total_p, terms)``.  For ``alpha == 2`` ``terms`` is the
+    decomposition ``(gamma, missed, false, localization_p, half_cut_p)``;
+    otherwise it is ``None``.  Both sets empty costs 0 whatever ``c**p`` is.
     """
-    cut_p = c ** p
-    if detected is None:
-        total_p = (cut_p / alpha) * (n_x + n_y)
-        if alpha == 2.0:
-            return total_p, (), n_x, n_y, 0.0
-        return total_p, None, None, None, None
+    try:
+        # a Python float power: NumPy's array power can differ in the last bit
+        cut_p = c ** p if n_x or n_y else 0.0
+    except OverflowError:
+        raise ValueError("cost matrix entries must be finite") from None
     pairs, cut_entry = detected
     if alpha == 2.0:
         gamma = tuple((i, j) for i, j, _ in pairs)
         localization_p = 0.0
         for _, _, cost in pairs:
             localization_p += cost
+        half_cut_p = cut_p / 2.0
         missed = n_x - len(gamma)
         false = n_y - len(gamma)
-        total_p = localization_p + (cut_p / 2.0) * (missed + false)
-        return total_p, gamma, missed, false, localization_p
+        total_p = localization_p + half_cut_p * (missed + false)
+        return total_p, (gamma, missed, false, localization_p, half_cut_p)
     # the complete assignment of the smaller set, summed in its index order;
     # a target outside gamma is paired at the cut-off
     if n_x <= n_y:
@@ -272,20 +277,41 @@ def _totals(detected, n_x: int, n_y: int, c: float, alpha: float, p: float):
     lap_total = 0.0
     for k in range(n_small):
         lap_total += partner_cost.get(k, cut_entry)
-    total_p = lap_total + (cut_p / alpha) * abs(n_y - n_x)
-    return total_p, None, None, None, None
+    return lap_total + (cut_p / alpha) * abs(n_y - n_x), None
 
 
-def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance,
-              c: float, alpha: float, p: float):
-    detected = _detected_pairs(_cut_off_graph(xs, ys, base, c), c, p)
-    return _totals(detected, len(xs), len(ys), c, alpha, p)
+def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
+              alpha: float, requests: dict[float, Sequence[str]]) -> dict:
+    """GOSPA (at ``alpha``), uOSPA and OSPA of one pair of sets.
+
+    ``requests`` maps each exponent p to the metric names wanted at it,
+    from "gospa", "uospa" and "ospa".  The cut-off graph is built once and
+    the detected-pair set solved once per p.  Returns ``{(name, p): value}``;
+    with ``alpha == 2`` a "gospa" entry comes with a ("decomposition", p)
+    entry holding the ``terms`` of :func:`_totals`.
+    """
+    c = float(c)  # an integer c would make the cost entry c**p a wrapping int64 power
+    n_x, n_y = len(xs), len(ys)
+    graph = _cut_off_graph(xs, ys, base, c)
+    values = {}
+    for p, names in requests.items():
+        detected = _detected_pairs(graph, c, p)
+        if "gospa" in names:
+            total_p, terms = _totals(detected, n_x, n_y, c, alpha, p)
+            values["gospa", p] = total_p ** (1.0 / p)
+            if terms is not None:
+                values["decomposition", p] = terms
+        if "uospa" in names or "ospa" in names:
+            total_p = _totals(detected, n_x, n_y, c, 1.0, p)[0]
+            values["uospa", p] = total_p ** (1.0 / p)
+            n_max = max(n_x, n_y)
+            values["ospa", p] = (total_p / n_max) ** (1.0 / p) if n_max else 0.0
+    return values
 
 
 def cutoff_distance(x, y, c: float, base_distance: BaseDistance = "euclidean") -> float:
     """Base distance between two state vectors, saturated at the cut-off c."""
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
-        raise ValueError("cut-off c must be positive and finite")
+    GospaParams(c=c, base_distance=base_distance)  # validates
     xv = as_state_array([x])
     yv = as_state_array([y])
     if xv.shape[0] != 1 or yv.shape[0] != 1 or xv.shape[1] < 1 or yv.shape[1] < 1:
@@ -303,7 +329,8 @@ def gospa(x, y, params: GospaParams) -> GospaBreakdown:
     decomposition and the detected-pair assignment when
     ``params.alpha == 2``; for other alpha values only ``total`` is set.
     Both sets empty gives 0; if one set is empty the distance is
-    ``((c**p / alpha) * cardinality) ** (1/p)``.
+    ``((c**p / alpha) * cardinality) ** (1/p)``.  A ``c**p`` that overflows
+    a float raises ValueError, unless both sets are empty.
 
     On cost ties the detected pairs follow the rule stated on
     :class:`GospaBreakdown`: truths in ascending index order each take the
@@ -314,12 +341,12 @@ def gospa(x, y, params: GospaParams) -> GospaBreakdown:
     xs = as_state_array(x)
     ys = as_state_array(y)
     _require_same_dimension(xs, ys)
-    total_p, gamma, missed, false, localization_p = _evaluate(
-        xs, ys, params.base_distance, params.c, params.alpha, params.p)
-    total = total_p ** (1.0 / params.p)
-    if gamma is None:
+    p = params.p
+    values = _evaluate(xs, ys, params.base_distance, params.c, params.alpha, {p: ("gospa",)})
+    total = values["gospa", p]
+    if ("decomposition", p) not in values:
         return GospaBreakdown(total=total)
-    half_cut_p = params.c ** params.p / 2.0
+    gamma, missed, false, localization_p, half_cut_p = values["decomposition", p]
     return GospaBreakdown(
         total=total,
         localization_cost_p=localization_p,
@@ -331,74 +358,14 @@ def gospa(x, y, params: GospaParams) -> GospaBreakdown:
     )
 
 
-def gospa_permutation_form(x, y, params: GospaParams) -> float:
-    """GOSPA evaluated directly from its permutation definition.
-
-    Minimizes the summed cut-off costs of the smaller set over complete
-    assignments into the larger set (solved independently with SciPy) and
-    adds the cardinality term.  Agrees with :func:`gospa` for every alpha;
-    kept as a separately coded path for cross-checking.
-    """
-    from scipy.optimize import linear_sum_assignment  # SciPy is slow to import
-
-    xs = as_state_array(x)
-    ys = as_state_array(y)
-    _require_same_dimension(xs, ys)
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    n_small, n_large = len(xs), len(ys)
-    if n_large == 0:
-        return 0.0
-    cut_p = params.c ** params.p
-    if n_small == 0:
-        return ((cut_p / params.alpha) * n_large) ** (1.0 / params.p)
-    distances = _base_distance_matrix(xs, ys, params.base_distance)
-    costs = np.minimum(distances, params.c) ** params.p
-    rows, cols = linear_sum_assignment(costs)
-    inner = float(costs[rows, cols].sum())
-    total_p = inner + (cut_p / params.alpha) * (n_large - n_small)
-    return total_p ** (1.0 / params.p)
-
-
 def ospa(x, y, c: float, p: float = 1.0, base_distance: BaseDistance = "euclidean") -> float:
     """OSPA distance: unnormalized OSPA scaled by the larger cardinality.
 
     Equals ``(gospa(alpha=1) ** p / max(|X|, |Y|)) ** (1/p)``; both sets
     empty gives 0 and exactly one empty set gives c.
     """
-    params = GospaParams(c=c, alpha=1.0, p=p, base_distance=base_distance)
+    GospaParams(c=c, alpha=1.0, p=p, base_distance=base_distance)  # validates
     xs = as_state_array(x)
     ys = as_state_array(y)
     _require_same_dimension(xs, ys)
-    n_max = max(len(xs), len(ys))
-    if n_max == 0:
-        return 0.0
-    total_p = _evaluate(xs, ys, params.base_distance, params.c, 1.0, params.p)[0]
-    return (total_p / n_max) ** (1.0 / params.p)
-
-
-def unnormalized_ospa_closed_form(n_false: int, n_missed: int, d1: float, d2: float,
-                                  c: float, p: float) -> float:
-    """Closed-form unnormalized OSPA for a two-target scenario.
-
-    Scenario shape: two true targets of which ``n_missed`` are missed, the
-    detected ones estimated at cut-off distances ``d1`` (and ``d2`` when
-    both are detected), plus ``n_false`` false targets farther than c from
-    everything.  Evaluates to ``(sum of detected d_i**p +
-    max(n_false, n_missed) * c**p) ** (1/p)``.  Used as a cross-check
-    oracle for GOSPA with alpha = 1 on such geometries.
-    """
-    if not (isinstance(n_false, int) and not isinstance(n_false, bool) and n_false >= 0):
-        raise ValueError("n_false must be a non-negative integer")
-    if n_missed not in (0, 1, 2) or isinstance(n_missed, bool):
-        raise ValueError("n_missed must be 0, 1 or 2")
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError("cut-off c must be positive and finite")
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError("p must lie in [1, inf)")
-    for name, d in (("d1", d1), ("d2", d2)):
-        if not (math.isfinite(d) and 0.0 <= d <= c):
-            raise ValueError(f"{name} must lie in [0, c]")
-    detected = (d1, d2)[: 2 - n_missed]
-    total_p = sum(d ** p for d in detected) + max(n_false, n_missed) * c ** p
-    return total_p ** (1.0 / p)
+    return _evaluate(xs, ys, base_distance, c, 1.0, {p: ("ospa",)})["ospa", p]

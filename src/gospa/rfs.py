@@ -18,14 +18,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .metrics import (
-    GospaParams,
-    _cut_off_graph,
-    _detected_pairs,
-    _evaluate,
-    _totals,
-    as_state_array,
-)
+from .metrics import GospaParams, _evaluate, as_state_array
 
 _MASK64 = (1 << 64) - 1
 
@@ -216,34 +209,9 @@ class MetricEstimate:
     samples: int
 
 
-_VARIANT_ALIASES = {
-    "gospa": "gospa",
-    "ospa": "ospa",
-    "uospa": "uospa",
-    "unnormalized_ospa": "uospa",
-    "unnormalizedospa": "uospa",
-}
-
-
-def _canonical_variant(variant: str) -> str:
-    try:
-        return _VARIANT_ALIASES[variant.replace("-", "_").lower()]
-    except (KeyError, AttributeError):
-        raise ValueError(f"unknown metric variant {variant!r}; "
-                         "choose gospa, ospa or uospa") from None
-
-
-def _sample_metric_value(xs: np.ndarray, ys: np.ndarray, params: GospaParams,
-                         variant: str) -> float:
-    if variant == "ospa":
-        n_max = max(len(xs), len(ys))
-        if n_max == 0:
-            return 0.0
-        total_p = _evaluate(xs, ys, params.base_distance, params.c, 1.0, params.p)[0]
-        return (total_p / n_max) ** (1.0 / params.p)
-    alpha = params.alpha if variant == "gospa" else 1.0
-    total_p = _evaluate(xs, ys, params.base_distance, params.c, alpha, params.p)[0]
-    return total_p ** (1.0 / params.p)
+def _require_metric(metric: str) -> None:
+    if metric not in TABLE1_METRICS:
+        raise ValueError(f"unknown metric variant {metric!r}; choose gospa, ospa or uospa")
 
 
 def _usable_cpus() -> int:
@@ -280,24 +248,43 @@ def _estimate_from_powers(powers: np.ndarray, p_prime: float) -> MetricEstimate:
     return MetricEstimate(value=value, standard_error=standard_error, samples=n)
 
 
+def _estimate_cells(sampler: PairSampler, params: GospaParams, cells, samples: int,
+                    master_seed: int, workers: int) -> list[MetricEstimate]:
+    """Estimate every cell ``(metric, p, p')`` from one draw per sample.
+
+    Sample k uses the seed ``derive_sample_seed(master_seed, k)`` for all
+    cells, and the per-sample values are reduced in index order, so the
+    results do not depend on ``workers``.
+    """
+    requests: dict[float, list[str]] = {}
+    for metric, p, _ in cells:
+        _require_metric(metric)
+        requests.setdefault(p, []).append(metric)
+    base, c, alpha = params.base_distance, params.c, params.alpha
+    powers = [(np.empty(samples), (metric, p), p_prime) for metric, p, p_prime in cells]
+
+    def block(lo: int, hi: int) -> None:
+        for k in range(lo, hi):
+            xs, ys = sampler.sample_pair(derive_sample_seed(master_seed, k))
+            values = _evaluate(xs, ys, base, c, alpha, requests)
+            for row, key, p_prime in powers:
+                row[k] = values[key] ** p_prime
+
+    _run_blocks(samples, workers, block)
+    return [_estimate_from_powers(row, p_prime) for row, _, p_prime in powers]
+
+
 def estimate_metric(sampler: PairSampler, params: GospaParams, cfg: EstimatorConfig,
                     variant: str = "gospa", workers: int = 1) -> MetricEstimate:
     """Estimate ``E[d(X, Y)**p'] ** (1/p')`` over sampled set pairs.
 
+    ``variant`` is "gospa" (at ``params.alpha``), "ospa" or "uospa".
     Sample k uses the seed ``derive_sample_seed(cfg.master_seed, k)`` and
     the per-sample values are reduced in index order, so the result does
     not depend on ``workers``.
     """
-    canonical = _canonical_variant(variant)
-    powers = np.empty(cfg.samples)
-
-    def block(lo: int, hi: int) -> None:
-        for k in range(lo, hi):
-            xs, ys = sampler.sample_pair(derive_sample_seed(cfg.master_seed, k))
-            powers[k] = _sample_metric_value(xs, ys, params, canonical) ** cfg.p_prime
-
-    _run_blocks(cfg.samples, workers, block)
-    return _estimate_from_powers(powers, cfg.p_prime)
+    return _estimate_cells(sampler, params, [(variant, params.p, cfg.p_prime)],
+                           cfg.samples, cfg.master_seed, workers)[0]
 
 
 def table1_scenario(n_missed: int, n_false: int) -> IndependentPairSampler:
@@ -351,7 +338,7 @@ class Table1Result:
     cells: tuple[Table1Cell, ...]
 
     def estimate(self, metric: str, p: float, n_missed: int, n_false: int) -> MetricEstimate:
-        metric = _canonical_variant(metric)
+        _require_metric(metric)
         for cell in self.cells:
             if (cell.metric == metric and cell.p == p
                     and cell.n_missed == n_missed and cell.n_false == n_false):
@@ -365,55 +352,22 @@ def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0,
 
     Scenario cells share per-sample seeds (common random numbers), and each
     cell equals what :func:`estimate_metric` returns for the corresponding
-    scenario, variant and exponent, bit for bit.
+    scenario, metric and exponent, bit for bit.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError("samples must be a positive integer")
-    samples = int(samples)
-    master_seed = _validated_seed(master_seed)
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
-        raise ValueError("cut-off c must be positive and finite")
-    c = float(c)
-
-    grid: dict[tuple[str, float, int, int], MetricEstimate] = {}
-    for n_missed in TABLE1_N_MISSED:
-        for n_false in TABLE1_N_FALSE:
-            sampler = table1_scenario(n_missed, n_false)
-            powers = {
-                (metric, p): np.empty(samples)
-                for metric in TABLE1_METRICS for p in TABLE1_EXPONENTS
-            }
-
-            def block(lo: int, hi: int) -> None:
-                for k in range(lo, hi):
-                    xs, ys = sampler.sample_pair(derive_sample_seed(master_seed, k))
-                    n_x, n_y = len(xs), len(ys)
-                    # which pairs lie below the cut-off does not depend on p
-                    graph = _cut_off_graph(xs, ys, "euclidean", c)
-                    for p in TABLE1_EXPONENTS:
-                        detected = _detected_pairs(graph, c, p)
-                        total_p_2 = _totals(detected, n_x, n_y, c, 2.0, p)[0]
-                        total_p_1 = _totals(detected, n_x, n_y, c, 1.0, p)[0]
-                        gospa_value = total_p_2 ** (1.0 / p)
-                        uospa_value = total_p_1 ** (1.0 / p)
-                        n_max = max(n_x, n_y)
-                        ospa_value = (total_p_1 / n_max) ** (1.0 / p) if n_max else 0.0
-                        powers[("gospa", p)][k] = gospa_value ** p
-                        powers[("ospa", p)][k] = ospa_value ** p
-                        powers[("uospa", p)][k] = uospa_value ** p
-
-            _run_blocks(samples, workers, block)
-            for metric in TABLE1_METRICS:
-                for p in TABLE1_EXPONENTS:
-                    grid[(metric, p, n_missed, n_false)] = _estimate_from_powers(
-                        powers[(metric, p)], p)
-
-    cells = tuple(
+    cfg = EstimatorConfig(samples=samples, master_seed=master_seed)
+    params = GospaParams(c=c)
+    cells = [(metric, p, p) for metric in TABLE1_METRICS for p in TABLE1_EXPONENTS]
+    grid = {
+        (n_missed, n_false): _estimate_cells(table1_scenario(n_missed, n_false), params, cells,
+                                             cfg.samples, cfg.master_seed, workers)
+        for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE
+    }
+    ordered = tuple(
         Table1Cell(metric=metric, p=p, n_missed=n_missed, n_false=n_false,
-                   estimate=grid[(metric, p, n_missed, n_false)])
-        for metric in TABLE1_METRICS
-        for p in TABLE1_EXPONENTS
+                   estimate=grid[n_missed, n_false][index])
+        for index, (metric, p, _) in enumerate(cells)
         for n_false in TABLE1_N_FALSE
         for n_missed in TABLE1_N_MISSED
     )
-    return Table1Result(c=c, samples=samples, master_seed=master_seed, cells=cells)
+    return Table1Result(c=float(params.c), samples=cfg.samples,
+                        master_seed=cfg.master_seed, cells=ordered)

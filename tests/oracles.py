@@ -1,13 +1,24 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written in plain Python (math module, explicit loops,
-exhaustive enumeration) so it shares no code path with the package.
+exhaustive enumeration) so it shares no code path with the package, except
+:func:`gospa_permutation_form`, which reads its inputs through the package
+but solves the assignment with SciPy.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
+
+import numpy as np
+
+from gospa.metrics import (
+    GospaParams,
+    _base_distance_matrix,
+    _require_same_dimension,
+    as_state_array,
+)
 
 
 def euclidean(x, y) -> float:
@@ -88,3 +99,76 @@ def gospa_permutation_oracle(x, y, c: float, alpha: float, p: float) -> float:
 def random_target_set(rng, max_size: int, dim: int, span: float = 20.0):
     size = int(rng.integers(0, max_size + 1))
     return rng.uniform(-span, span, size=(size, dim))
+
+
+def gospa_permutation_form(x, y, params: GospaParams) -> float:
+    """GOSPA evaluated directly from its permutation definition.
+
+    Minimizes the summed cut-off costs of the smaller set over complete
+    assignments into the larger set (solved independently with SciPy) and
+    adds the cardinality term.  Agrees with :func:`gospa` for every alpha;
+    kept as a separately coded path for cross-checking.
+    """
+    from scipy.optimize import linear_sum_assignment  # SciPy is slow to import
+
+    xs = as_state_array(x)
+    ys = as_state_array(y)
+    _require_same_dimension(xs, ys)
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    n_small, n_large = len(xs), len(ys)
+    if n_large == 0:
+        return 0.0
+    cut_p = params.c ** params.p
+    if n_small == 0:
+        return ((cut_p / params.alpha) * n_large) ** (1.0 / params.p)
+    distances = _base_distance_matrix(xs, ys, params.base_distance)
+    costs = np.minimum(distances, params.c) ** params.p
+    rows, cols = linear_sum_assignment(costs)
+    inner = float(costs[rows, cols].sum())
+    total_p = inner + (cut_p / params.alpha) * (n_large - n_small)
+    return total_p ** (1.0 / params.p)
+
+
+def ospa(x, y, c: float, p: float = 1.0, base_distance: BaseDistance = "euclidean") -> float:
+    """OSPA distance: unnormalized OSPA scaled by the larger cardinality.
+
+    Equals ``(gospa(alpha=1) ** p / max(|X|, |Y|)) ** (1/p)``; both sets
+    empty gives 0 and exactly one empty set gives c.
+    """
+    params = GospaParams(c=c, alpha=1.0, p=p, base_distance=base_distance)
+    xs = as_state_array(x)
+    ys = as_state_array(y)
+    _require_same_dimension(xs, ys)
+    n_max = max(len(xs), len(ys))
+    if n_max == 0:
+        return 0.0
+    total_p = _evaluate(xs, ys, params.base_distance, params.c, 1.0, params.p)[0]
+    return (total_p / n_max) ** (1.0 / params.p)
+
+
+def unnormalized_ospa_closed_form(n_false: int, n_missed: int, d1: float, d2: float,
+                                  c: float, p: float) -> float:
+    """Closed-form unnormalized OSPA for a two-target scenario.
+
+    Scenario shape: two true targets of which ``n_missed`` are missed, the
+    detected ones estimated at cut-off distances ``d1`` (and ``d2`` when
+    both are detected), plus ``n_false`` false targets farther than c from
+    everything.  Evaluates to ``(sum of detected d_i**p +
+    max(n_false, n_missed) * c**p) ** (1/p)``.  Used as a cross-check
+    oracle for GOSPA with alpha = 1 on such geometries.
+    """
+    if not (isinstance(n_false, int) and not isinstance(n_false, bool) and n_false >= 0):
+        raise ValueError("n_false must be a non-negative integer")
+    if n_missed not in (0, 1, 2) or isinstance(n_missed, bool):
+        raise ValueError("n_missed must be 0, 1 or 2")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError("cut-off c must be positive and finite")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError("p must lie in [1, inf)")
+    for name, d in (("d1", d1), ("d2", d2)):
+        if not (math.isfinite(d) and 0.0 <= d <= c):
+            raise ValueError(f"{name} must lie in [0, c]")
+    detected = (d1, d2)[: 2 - n_missed]
+    total_p = sum(d ** p for d in detected) + max(n_false, n_missed) * c ** p
+    return total_p ** (1.0 / p)

@@ -14,16 +14,15 @@ import pytest
 
 from gospa import cli
 from gospa.assignment import brute_force_assignment, solve_full_assignment
-from gospa.metrics import (
-    GospaParams,
-    gospa,
-    gospa_permutation_form,
-    ospa,
-    unnormalized_ospa_closed_form,
-)
+from gospa.metrics import GospaParams, gospa, ospa
 from gospa.rfs import TABLE1_N_FALSE, TABLE1_N_MISSED, run_table1
 
-from oracles import gospa_alpha2_assignment_oracle, random_target_set
+from oracles import (
+    gospa_alpha2_assignment_oracle,
+    gospa_permutation_form,
+    random_target_set,
+    unnormalized_ospa_closed_form,
+)
 
 ACCEPTANCE_SEED = 0
 SAMPLES = 1000

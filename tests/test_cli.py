@@ -146,6 +146,16 @@ class TestCompute:
         assert code == 2
         assert "c must be positive" in err
 
+    @pytest.mark.parametrize("metric", ["gospa", "ospa", "uospa"])
+    def test_overflowing_cutoff_power_with_an_empty_set_exit_2(self, capsys, tmp_path, metric):
+        empty = write_points(tmp_path / "empty.json", np.zeros((0, 2)))
+        one = write_points(tmp_path / "one.json", [[0.0, 0.0]])
+        code, out, err = run_cli(capsys, "compute", empty, one, "--c", "8", "--p", "400",
+                                 "--metric", metric)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_usage_error_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "compute")
         assert code == 2

@@ -17,16 +17,16 @@ from gospa.metrics import (
     as_state_array,
     cutoff_distance,
     gospa,
-    gospa_permutation_form,
     ospa,
-    unnormalized_ospa_closed_form,
 )
 
 from oracles import (
     gospa_alpha2_assignment_oracle,
     gospa_alpha2_gamma_oracle,
+    gospa_permutation_form,
     gospa_permutation_oracle,
     manhattan,
+    unnormalized_ospa_closed_form,
 )
 
 # Two well-separated truths, one close estimate pair, one far clutter point.
@@ -57,6 +57,10 @@ class TestCutoffDistance:
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):
             cutoff_distance([0.0], [1.0], c=0.0)
+
+    def test_unknown_base_distance(self):
+        with pytest.raises(ValueError, match="base distance"):
+            cutoff_distance([0.0], [1.0], c=8.0, base_distance="chebyshev")
 
 
 class TestParams:
@@ -336,6 +340,39 @@ def test_overflowing_cutoff_power_is_a_value_error():
         gospa([[0.0, 0.0]], [[100.0, 0.0]], GospaParams(c=8.0, p=400.0))
     with pytest.raises(ValueError, match="finite"):
         ospa([[0.0, 0.0]], [[1.0, 0.0]], c=8.0, p=400.0)
+
+
+@pytest.mark.parametrize("x,y", [([], [[0.0, 0.0]]), ([[0.0, 0.0]], [])])
+def test_overflowing_cutoff_power_with_an_empty_set_is_a_value_error(x, y):
+    with pytest.raises(ValueError, match="finite"):
+        gospa(x, y, GospaParams(c=8.0, p=400.0))
+    with pytest.raises(ValueError, match="finite"):
+        gospa(x, y, GospaParams(c=8.0, alpha=1.0, p=400.0))  # uOSPA
+    with pytest.raises(ValueError, match="finite"):
+        ospa(x, y, c=8.0, p=400.0)
+
+
+def test_two_empty_sets_are_zero_apart_even_when_the_cutoff_power_overflows():
+    result = gospa([], [], GospaParams(c=8.0, p=400.0))
+    assert result.total == 0.0 and result.missed_cost_p == 0.0
+    assert gospa([], [], GospaParams(c=8.0, alpha=1.0, p=400.0)).total == 0.0
+    assert ospa([], [], c=8.0, p=400.0) == 0.0
+
+
+def test_integer_cutoff_and_exponent_match_their_float_values():
+    # 8**30 overflows a 64-bit integer, so c**p must be a float power
+    x = [[0.0, 0.0], [1.0, 0.0], [50.0, 0.0]]
+    y = [[0.5, 0.0], [0.6, 0.0], [90.0, 0.0]]
+    for alpha in (1.0, 2.0):
+        assert gospa(x, y, GospaParams(c=8, alpha=alpha, p=30)).total == \
+            gospa(x, y, GospaParams(c=8.0, alpha=alpha, p=30.0)).total
+    assert ospa(x, y, c=8, p=30) == ospa(x, y, c=8.0, p=30.0)
+
+
+def test_non_numeric_parameters_are_value_errors():
+    for kwargs in ({"c": "8"}, {"c": None}, {"c": 8.0, "alpha": "2"}, {"c": 8.0, "p": None}):
+        with pytest.raises(ValueError):
+            GospaParams(**kwargs)
 
 
 def test_import_does_not_load_scipy():

@@ -221,6 +221,39 @@ class TestEstimateMetric:
             estimate_metric(sampler, GospaParams(c=8.0), EstimatorConfig(samples=2),
                             variant="hausdorff")
 
+    @pytest.mark.parametrize("variant", ["unnormalized_ospa", "GOSPA", "unnormalizedospa", "OSPA"])
+    def test_accepts_only_the_three_metric_names(self, variant):
+        sampler = table1_scenario(0, 0)
+        with pytest.raises(ValueError, match="variant"):
+            estimate_metric(sampler, GospaParams(c=8.0), EstimatorConfig(samples=2),
+                            variant=variant)
+
+    @pytest.mark.parametrize("variant,params", [
+        ("gospa", GospaParams(c=8.0, alpha=1.5, p=2.0, base_distance="manhattan")),
+        ("uospa", GospaParams(c=8.0, p=2.0)),
+        ("ospa", GospaParams(c=8.0, p=1.0)),
+    ])
+    def test_matches_a_plain_loop_over_the_public_metrics(self, variant, params):
+        sampler = table1_scenario(1, 3)
+        cfg = EstimatorConfig(p_prime=3.0, samples=40, master_seed=13)
+        result = estimate_metric(sampler, params, cfg, variant=variant)
+        powers = []
+        for k in range(cfg.samples):
+            xs, ys = sampler.sample_pair(derive_sample_seed(cfg.master_seed, k))
+            if variant == "ospa":
+                value = ospa(xs, ys, c=params.c, p=params.p, base_distance=params.base_distance)
+            elif variant == "uospa":
+                value = gospa(xs, ys, GospaParams(c=params.c, alpha=1.0, p=params.p,
+                                                  base_distance=params.base_distance)).total
+            else:
+                value = gospa(xs, ys, params).total
+            powers.append(value ** cfg.p_prime)
+        expected = np.mean(powers) ** (1.0 / cfg.p_prime)
+        assert result.value == expected
+        se = np.std(powers, ddof=1) / math.sqrt(cfg.samples) * expected \
+            / (cfg.p_prime * np.mean(powers))
+        assert result.standard_error == pytest.approx(se, rel=1e-12)
+
     def test_single_cpu_runs_serially(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("no thread pool should start")
@@ -331,11 +364,23 @@ class TestRunTable1:
         with pytest.raises(KeyError):
             result.estimate("gospa", 1.0, 0, 2)
 
+    def test_estimate_accepts_only_the_three_metric_names(self):
+        result = run_table1(samples=2, master_seed=0)
+        for metric in ("unnormalized_ospa", "GOSPA"):
+            with pytest.raises(ValueError, match="variant"):
+                result.estimate(metric, 1.0, 0, 0)
+
     def test_rejects_invalid_config(self):
         with pytest.raises(ValueError):
             run_table1(samples=0)
         with pytest.raises(ValueError):
             run_table1(samples=2, master_seed=-3)
+
+    def test_cutoff_is_checked_and_reported_as_a_float(self):
+        for c in (0.0, math.inf, "8", None):
+            with pytest.raises(ValueError):
+                run_table1(samples=2, c=c)
+        assert isinstance(run_table1(samples=2, c=8).c, float)
 
 
 def test_metric_estimate_is_plain_record():
