@@ -187,12 +187,13 @@ def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance,
     col_degree = np.bincount(cols, minlength=len(ys))
     forced = (row_degree[rows] == 1) & (col_degree[cols] == 1)
     forced_rows, forced_cols = rows[forced], cols[forced]
+    starts = np.flatnonzero(np.bincount(rows[~forced], minlength=len(xs)))
     return _CutOffGraph(
         distances=distances,
         forced_rows=forced_rows.tolist(),
         forced_cols=forced_cols.tolist(),
         forced_distances=distances[forced_rows, forced_cols],
-        components=_connected_components(edge, np.unique(rows[~forced])),
+        components=_connected_components(edge, starts) if len(starts) else [],
     )
 
 

@@ -6,11 +6,24 @@ OSPA.  Sampling is reproducible: every Monte Carlo sample draws from its
 own generator seeded by mixing the master seed with the sample index, so
 results are bit-identical for a fixed master seed regardless of how the
 samples are distributed over workers.
+
+Draw layout v2.  A multi-Bernoulli model with K components in D dimensions
+takes, from the generator, K uniforms (component k exists when the k-th is
+below its existence probability) and then one (K, D) block of standard
+normals (row k is component k's noise, mapped through its Cholesky
+factor).  The existing components are returned in index order.  The values
+drawn depend only on K and D, never on which components exist, so models
+that differ only in existence probabilities share every common point.  A
+pair sampler draws the truth before the estimate from one generator.
+Layout v2 replaced the v1 per-component loop (one uniform per component,
+then that component's D normals only if it existed), so every seeded
+estimate changed within Monte Carlo error.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -60,7 +73,8 @@ def _cholesky_factor(covariance: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(covariance)
     except np.linalg.LinAlgError:
         pass
-    jitter = 1e-10 * np.eye(covariance.shape[0])
+    # relative to the largest variance, so the fix-up scales with the matrix
+    jitter = 1e-10 * np.abs(np.diag(covariance)).max() * np.eye(covariance.shape[0])
     try:
         return np.linalg.cholesky(covariance + jitter)
     except np.linalg.LinAlgError:
@@ -108,6 +122,10 @@ class MultiBernoulli:
     """Union of independent Bernoulli components, all of one dimension."""
 
     components: tuple[BernoulliComponent, ...]
+    # the components stacked once, in index order, for draw layout v2
+    _existence: np.ndarray = field(init=False, repr=False)
+    _means: np.ndarray = field(init=False, repr=False)
+    _scale_trils: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         components = tuple(self.components)
@@ -117,6 +135,11 @@ class MultiBernoulli:
         if len(dims) != 1:
             raise ValueError("all components must share one dimension")
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_existence",
+                           np.array([comp.existence for comp in components]))
+        object.__setattr__(self, "_means", np.stack([comp.mean for comp in components]))
+        object.__setattr__(self, "_scale_trils",
+                           np.stack([comp.scale_tril for comp in components]))
 
     @property
     def dimension(self) -> int:
@@ -124,16 +147,10 @@ class MultiBernoulli:
 
 
 def _sample_with_rng(model: MultiBernoulli, rng: np.random.Generator) -> np.ndarray:
-    # fixed draw order per component: existence uniform, then (if present)
-    # the Gaussian draw, so a seed fully determines the sample
-    points = []
-    for comp in model.components:
-        if rng.random() < comp.existence:
-            noise = rng.standard_normal(comp.dimension)
-            points.append(comp.mean + comp.scale_tril @ noise)
-    if points:
-        return np.array(points)
-    return np.zeros((0, model.dimension))
+    # draw layout v2, stated in the module docstring
+    present = rng.random(len(model._existence)) < model._existence
+    noise = rng.standard_normal(model._means.shape)
+    return (model._means + np.einsum("kij,kj->ki", model._scale_trils, noise))[present]
 
 
 def sample_multi_bernoulli(model: MultiBernoulli, seed: int) -> np.ndarray:
@@ -187,7 +204,8 @@ class EstimatorConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.p_prime) and self.p_prime >= 1.0):
+        if not (isinstance(self.p_prime, numbers.Real) and math.isfinite(self.p_prime)
+                and self.p_prime >= 1.0):
             raise ValueError("p_prime must lie in [1, inf)")
         if isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer)) \
                 or self.samples < 1:
@@ -222,8 +240,8 @@ def _usable_cpus() -> int:
 
 
 def _run_blocks(total: int, workers: int, task: Callable[[int, int], None]) -> None:
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError("workers must be a positive integer")
     n_blocks = min(workers, _usable_cpus(), total)
     if n_blocks <= 1:
         task(0, total)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gospa import metrics
 from gospa.assignment import solve_full_assignment
 from gospa.metrics import (
     GospaParams,
@@ -446,6 +447,17 @@ class TestComponentGamma:
         truth = [[0.0, 0.0], [2.0, 0.0]]
         estimate = [[100.0, 0.0], [1.0, 0.0]]
         assert manhattan_pairs(truth, estimate, 3.0) == ((0, 1),)
+
+    def test_a_matching_skips_the_component_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("every edge is forced; no component is left")
+
+        monkeypatch.setattr(metrics, "_connected_components", no_search)
+        truth = [[0.0, 0.0], [50.0, 0.0], [100.0, 0.0]]
+        estimate = [[1.0, 0.0], [50.0, 2.0], [200.0, 0.0]]
+        result = gospa(truth, estimate, GospaParams(c=8.0, alpha=2.0, p=1.0))
+        assert result.assignment.pairs == ((0, 0), (1, 1))
+        assert result.total == pytest.approx(3.0 + 8.0)
 
 
 # --- cross-check against one exact solve of the whole cut-off matrix --------

@@ -54,6 +54,27 @@ class TestBernoulliComponent:
         comp = BernoulliComponent(1.0, [3.0, -1.0], np.zeros((2, 2)))
         assert np.all(comp.scale_tril == 0.0)
 
+    @pytest.mark.parametrize("cov,diagonal", [
+        ([[1e30, 1e30], [1e30, 1e30]], (1e15, 1.414e10)),
+        ([[1e-20, 0.0], [0.0, 0.0]], (1e-10, 1e-15)),
+        ([[1.0, 0.0], [0.0, 0.0]], (1.0, 1e-5)),
+        ([[1.0, 2.0], [2.0, 1.0]], None),
+    ])
+    def test_jitter_is_relative_to_the_largest_variance(self, cov, diagonal):
+        if diagonal is None:
+            with pytest.raises(ValueError, match="semidefinite"):
+                BernoulliComponent(1.0, [0.0, 0.0], cov)
+            return
+        factor = BernoulliComponent(1.0, [0.0, 0.0], cov).scale_tril
+        assert np.diag(factor) == pytest.approx(diagonal, rel=1e-3)
+        assert factor @ factor.T == pytest.approx(np.asarray(cov), rel=1e-9,
+                                                  abs=1e-9 * np.abs(cov).max())
+
+    def test_unit_scale_factor_is_unchanged(self):
+        cov = np.array([[1.0, 0.0], [0.0, 0.0]])
+        factor = BernoulliComponent(1.0, [0.0, 0.0], cov).scale_tril
+        assert np.array_equal(factor, np.linalg.cholesky(cov + 1e-10 * np.eye(2)))
+
     def test_rejects_mean_covariance_shape_mismatch(self):
         with pytest.raises(ValueError):
             BernoulliComponent(1.0, [0.0, 0.0], [[1.0]])
@@ -111,6 +132,78 @@ class TestSampling:
                 sample_multi_bernoulli(model, bad)
 
 
+class TestDrawLayout:
+    """Draw layout v2: from a ``PCG64(seed)`` generator, K existence
+    uniforms, then a (K, D) block of standard normals, whichever components
+    exist; the present components in index order."""
+
+    MEANS = np.array([[0.0, 1.0, 2.0], [10.0, 11.0, 12.0], [20.0, 21.0, 22.0],
+                      [30.0, 31.0, 32.0]])
+    COVARIANCES = [np.eye(3), [[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 0.5]],
+                   np.diag([0.1, 4.0, 1.0]), [[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 0.2]]]
+
+    def model(self, existences):
+        return MultiBernoulli(tuple(
+            BernoulliComponent(e, m, cov)
+            for e, m, cov in zip(existences, self.MEANS, self.COVARIANCES)))
+
+    def test_matches_an_independent_implementation(self):
+        existences = [0.3, 0.9, 0.5, 1.0]
+        model = self.model(existences)
+        factors = [np.linalg.cholesky(np.asarray(cov)) for cov in self.COVARIANCES]
+        for seed in range(40):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            uniforms = rng.random(4)
+            noise = rng.standard_normal((4, 3))
+            expected = [self.MEANS[k] + factors[k] @ noise[k]
+                        for k in range(4) if uniforms[k] < existences[k]]
+            sample = sample_multi_bernoulli(model, seed)
+            assert sample.shape == (len(expected), 3)
+            if expected:
+                np.testing.assert_allclose(sample, expected, rtol=1e-12, atol=1e-12)
+
+    def test_present_components_come_in_index_order(self):
+        model = _point_model(np.arange(8.0)[:, None], [0.5] * 8)
+        for seed in range(40):
+            sample = sample_multi_bernoulli(model, seed)[:, 0]
+            assert np.all(np.diff(sample) > 0)
+
+    def test_existence_changes_only_which_points_appear(self):
+        always = self.model([1.0, 1.0, 1.0, 1.0])
+        some = self.model([1.0, 0.0, 1.0, 0.0])
+        rarely = self.model([0.2, 0.2, 0.2, 0.2])
+        for seed in range(40):
+            full = sample_multi_bernoulli(always, seed)
+            assert np.array_equal(sample_multi_bernoulli(some, seed), full[[0, 2]])
+            for point in sample_multi_bernoulli(rarely, seed):
+                assert (full == point).all(axis=1).any()
+
+    def test_draw_count_does_not_depend_on_existence(self):
+        next_values = []
+        for existences in ([1.0] * 4, [0.0] * 4, [0.5] * 4):
+            rng = np.random.Generator(np.random.PCG64(9))
+            rfs._sample_with_rng(self.model(existences), rng)
+            next_values.append(rng.random())
+        assert next_values[0] == next_values[1] == next_values[2]
+
+    def test_zero_covariance_component_gives_its_mean_exactly(self):
+        mean = [0.1, -2.7, 1e-300]
+        model = MultiBernoulli((
+            BernoulliComponent(1.0, [5.0, 5.0, 5.0], np.eye(3)),
+            BernoulliComponent(1.0, mean, np.zeros((3, 3))),
+            BernoulliComponent(1.0, [9.0, 9.0, 9.0], np.eye(3)),
+        ))
+        for seed in range(20):
+            assert np.array_equal(sample_multi_bernoulli(model, seed)[1], mean)
+
+    def test_all_absent_draw_keeps_dimension(self):
+        model = self.model([0.2, 0.2, 0.2, 0.2])
+        empty = [sample_multi_bernoulli(model, seed) for seed in range(40)]
+        empty = [sample for sample in empty if len(sample) == 0]
+        assert empty
+        assert all(sample.shape == (0, 3) for sample in empty)
+
+
 class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_sample_seed(42, 7) == derive_sample_seed(42, 7)
@@ -158,6 +251,11 @@ class TestEstimatorConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             EstimatorConfig(**kwargs)
+
+    @pytest.mark.parametrize("p_prime", ["2", None, 2j, [2.0]])
+    def test_rejects_non_real_p_prime(self, p_prime):
+        with pytest.raises(ValueError, match="p_prime"):
+            EstimatorConfig(p_prime=p_prime)
 
 
 class TestEstimateMetric:
@@ -289,6 +387,15 @@ class TestEstimateMetric:
         with pytest.raises(ValueError, match="workers"):
             estimate_metric(sampler, GospaParams(c=8.0), EstimatorConfig(samples=2),
                             workers=0)
+
+
+@pytest.mark.parametrize("workers", ["2", 2.0, True, None])
+def test_rejects_non_integer_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        estimate_metric(table1_scenario(0, 0), GospaParams(c=8.0), EstimatorConfig(samples=2),
+                        workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_table1(samples=2, workers=workers)
 
 
 class TestTable1Scenario:
