@@ -27,6 +27,16 @@ def _rounded(value: float, precision: int) -> float:
     return float(_fmt(value, precision))
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
+    return value
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -244,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampling_options.add_argument("--workers", type=int, default=1)
     output_options = argparse.ArgumentParser(add_help=False)
     output_options.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    output_options.add_argument("--precision", type=int, default=6,
+    output_options.add_argument("--precision", type=_non_negative_int, default=6,
                                 help="significant digits in printed numbers")
 
     compute = subparsers.add_parser(

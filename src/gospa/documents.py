@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import as_state_array
+from .metrics import _is_finite, as_state_array
 from .rfs import BernoulliComponent, MultiBernoulli
 
 
@@ -46,7 +46,7 @@ def point_set_from_document(document) -> np.ndarray:
         row = []
         for value in point:
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
+                    or not _is_finite(value):
                 raise ValueError(f"point {index} has a non-finite coordinate")
             row.append(float(value))
         rows.append(row)

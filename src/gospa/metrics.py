@@ -23,6 +23,24 @@ BaseDistance = Union[str, Callable[[np.ndarray, np.ndarray], float]]
 
 _NAMED_BASE_DISTANCES = ("euclidean", "manhattan")
 
+# Inputs with at most this many pairs build the whole distance matrix;
+# larger ones with a named base distance find their close pairs by a sweep.
+# On sets spread in the plane the two cost the same near 2,000 pairs.
+_SWEEP_MIN_PAIRS = 4096
+# A sweep whose windows hold more than this share of all pairs builds the
+# whole matrix instead.  Gathering a candidate costs about three matrix
+# entries, and a large component's distances are computed once more.
+_SWEEP_MAX_SHARE = 0.25
+
+
+def _is_finite(value) -> bool:
+    """``math.isfinite`` that also reads an integer too large for a float
+    as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
 
 @dataclass(frozen=True)
 class GospaParams:
@@ -45,11 +63,11 @@ class GospaParams:
     def __post_init__(self):
         if not all(isinstance(value, numbers.Real) for value in (self.c, self.alpha, self.p)):
             raise ValueError("c, alpha and p must be real numbers")
-        if not (math.isfinite(self.c) and self.c > 0.0):
+        if not (_is_finite(self.c) and self.c > 0.0):
             raise ValueError("cut-off c must be positive and finite")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
-        if not (math.isfinite(self.p) and self.p >= 1.0):
+        if not (_is_finite(self.p) and self.p >= 1.0):
             raise ValueError("p must lie in [1, inf)")
         if isinstance(self.base_distance, str) and self.base_distance not in _NAMED_BASE_DISTANCES:
             raise ValueError(f"unknown base distance {self.base_distance!r}; "
@@ -100,6 +118,8 @@ def as_state_array(points) -> np.ndarray:
         arr = np.asarray(points, dtype=float)
     except (TypeError, ValueError):
         raise ValueError("a target set must be a sequence of equal-length state vectors") from None
+    except OverflowError:  # an integer too large for a float
+        raise ValueError("state coordinates must be finite") from None
     if arr.size == 0 and arr.ndim <= 2:
         return arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 0)
     if arr.ndim != 2:
@@ -115,6 +135,15 @@ def _require_same_dimension(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {dim_x} vs {dim_y}")
 
 
+def _distances(diff: np.ndarray, base: str) -> np.ndarray:
+    """Named base distances from coordinate differences, reduced over the
+    last axis.  Every distance the kernel compares with c comes from here,
+    so the whole matrix and a gathered set of pairs agree bit for bit."""
+    if base == "euclidean":
+        return np.sqrt(np.einsum("...k,...k->...", diff, diff))
+    return np.abs(diff).sum(axis=-1)
+
+
 def _base_distance_matrix(x: np.ndarray, y: np.ndarray, base: BaseDistance) -> np.ndarray:
     if callable(base):
         out = np.empty((len(x), len(y)))
@@ -125,10 +154,35 @@ def _base_distance_matrix(x: np.ndarray, y: np.ndarray, base: BaseDistance) -> n
                     raise ValueError("base distance must return finite non-negative values")
                 out[i, j] = d
         return out
-    diff = x[:, None, :] - y[None, :, :]
-    if base == "euclidean":
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return np.abs(diff).sum(axis=2)
+    return _distances(x[:, None, :] - y[None, :, :], base)
+
+
+def _sweep_candidates(xs: np.ndarray, ys: np.ndarray, c: float):
+    """Every pair within c of each other on one coordinate, as row and column
+    index arrays in row order; ``None`` when they exceed
+    ``_SWEEP_MAX_SHARE`` of all pairs.
+
+    Both named base distances are at least the difference on any single
+    coordinate, so these pairs hold every pair at distance below c.  The
+    coordinate is the one the two sets spread widest along; the estimates
+    are sorted on it and each truth takes the window of estimates within c,
+    widened by a relative slack so that rounding cannot drop a pair.
+    """
+    axis = int(np.argmax(np.ptp(np.concatenate([xs, ys]), axis=0)))
+    order = np.argsort(ys[:, axis], kind="stable")
+    keys = ys[order, axis]
+    centres = xs[:, axis]
+    reach = c + 1e-9 * (c + np.abs(centres))
+    lo = np.searchsorted(keys, centres - reach, side="left")
+    counts = np.searchsorted(keys, centres + reach, side="right") - lo
+    total = int(counts.sum())
+    if total > _SWEEP_MAX_SHARE * len(xs) * len(ys):
+        return None
+    ends = np.cumsum(counts)
+    # position of each candidate in the sorted estimates: its window's start
+    # plus its offset within the window
+    offsets = np.arange(total) - np.repeat(ends - counts, counts)
+    return np.repeat(np.arange(len(xs)), counts), order[np.repeat(lo, counts) + offsets]
 
 
 class _CutOffGraph(NamedTuple):
@@ -138,15 +192,15 @@ class _CutOffGraph(NamedTuple):
     unassigned, so an optimal assignment splits into the connected
     components of this graph.  ``forced_*`` are the edges whose two ends
     have no other edge: every optimum takes them.  ``components`` are the
-    other components that have an edge, each as its sorted truth indices
-    and sorted estimate indices.  None of it depends on p.
+    other components that have an edge, each as its sorted truth indices,
+    its sorted estimate indices and the block of base distances between
+    them.  None of it depends on p.
     """
 
-    distances: np.ndarray
     forced_rows: list[int]
     forced_cols: list[int]
     forced_distances: np.ndarray
-    components: list[tuple[list[int], list[int]]]
+    components: list[tuple[list[int], list[int], np.ndarray]]
 
 
 def _connected_components(edge: np.ndarray, starts: np.ndarray):
@@ -177,38 +231,74 @@ def _connected_components(edge: np.ndarray, starts: np.ndarray):
 
 def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance,
                    c: float) -> Optional[_CutOffGraph]:
-    """The graph of pairs with base distance < c; ``None`` if a set is empty."""
+    """The graph of pairs with base distance < c; ``None`` if a set is empty.
+
+    Large inputs with a named base distance take their candidate pairs from
+    :func:`_sweep_candidates`; the others, and a sweep that finds too many
+    candidates, from the whole distance matrix.
+    """
     if len(xs) == 0 or len(ys) == 0:
         return None
-    distances = _base_distance_matrix(xs, ys, base)
-    edge = distances < c
-    rows, cols = np.nonzero(edge)
+    candidates = None
+    if not callable(base) and len(xs) * len(ys) > _SWEEP_MIN_PAIRS:
+        candidates = _sweep_candidates(xs, ys, c)
+    if candidates is None:
+        distances = _base_distance_matrix(xs, ys, base)
+        edge = distances < c
+        rows, cols = np.nonzero(edge)
+    else:
+        rows, cols = candidates
+        pair_distances = _distances(xs[rows] - ys[cols], base)
+        close = pair_distances < c
+        rows, cols, pair_distances = rows[close], cols[close], pair_distances[close]
     row_degree = np.bincount(rows, minlength=len(xs))
     col_degree = np.bincount(cols, minlength=len(ys))
     forced = (row_degree[rows] == 1) & (col_degree[cols] == 1)
     forced_rows, forced_cols = rows[forced], cols[forced]
-    starts = np.flatnonzero(np.bincount(rows[~forced], minlength=len(xs)))
+    free = ~forced
+    starts = np.flatnonzero(np.bincount(rows[free], minlength=len(xs)))
+    components = []
+    if candidates is None:
+        forced_distances = distances[forced_rows, forced_cols]
+        if len(starts):
+            for comp_rows, comp_cols in _connected_components(edge, starts):
+                components.append((comp_rows, comp_cols,
+                                   distances[np.ix_(comp_rows, comp_cols)]))
+    else:
+        forced_distances = pair_distances[forced]
+        if len(starts):
+            # the graph of the unforced edges alone: its rows are the starts
+            # and its columns the estimates those edges reach
+            free_cols = cols[free]
+            col_ids = np.unique(free_cols)
+            free_edge = np.zeros((len(starts), len(col_ids)), dtype=bool)
+            free_edge[np.searchsorted(starts, rows[free]),
+                      np.searchsorted(col_ids, free_cols)] = True
+            local = _connected_components(free_edge, np.arange(len(starts)))
+            for local_rows, local_cols in local:
+                comp_rows, comp_cols = starts[local_rows], col_ids[local_cols]
+                block = _distances(xs[comp_rows][:, None, :] - ys[comp_cols][None, :, :], base)
+                components.append((comp_rows.tolist(), comp_cols.tolist(), block))
     return _CutOffGraph(
-        distances=distances,
         forced_rows=forced_rows.tolist(),
         forced_cols=forced_cols.tolist(),
-        forced_distances=distances[forced_rows, forced_cols],
-        components=_connected_components(edge, starts) if len(starts) else [],
+        forced_distances=forced_distances,
+        components=components,
     )
 
 
-def _component_pairs(distances: np.ndarray, rows: list[int], cols: list[int],
+def _component_pairs(block: np.ndarray, rows: list[int], cols: list[int],
                      c: float, p: float, cut_entry: float):
     """The detected pairs of one component, with their costs.
 
-    Truths are rows and estimates columns, followed by dummy columns at
-    ``c**p`` that stand for leaving a truth unpaired.  Pairs that are not
-    edges cost more than ``c**p``, so no optimum uses them.  Among optimal
-    assignments the solver returns the lexicographically smallest, and as
-    the dummy columns come after the real ones, that realizes the tie rule
-    of :func:`gospa` on this component.
+    ``block`` holds the base distances from the component's truths to its
+    estimates.  Truths are rows and estimates columns, followed by dummy
+    columns at ``c**p`` that stand for leaving a truth unpaired.  Pairs that
+    are not edges cost more than ``c**p``, so no optimum uses them.  Among
+    optimal assignments the solver returns the lexicographically smallest,
+    and as the dummy columns come after the real ones, that realizes the
+    tie rule of :func:`gospa` on this component.
     """
-    block = distances[np.ix_(rows, cols)]
     edge = block < c
     costs = np.minimum(block, c) ** p
     costs[~edge] = min(2.0 * cut_entry, sys.float_info.max)
@@ -239,8 +329,8 @@ def _detected_pairs(graph: Optional[_CutOffGraph], c: float, p: float):
         raise ValueError("cost matrix entries must be finite")
     costs = (graph.forced_distances ** p).tolist()
     pairs = list(zip(graph.forced_rows, graph.forced_cols, costs))  # sorted by truth
-    for rows, cols in graph.components:
-        pairs.extend(_component_pairs(graph.distances, rows, cols, c, p, cut_entry))
+    for rows, cols, block in graph.components:
+        pairs.extend(_component_pairs(block, rows, cols, c, p, cut_entry))
     if graph.components:
         pairs.sort()
     return pairs, cut_entry

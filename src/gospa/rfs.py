@@ -31,7 +31,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .metrics import GospaParams, _evaluate, as_state_array
+from .metrics import GospaParams, _evaluate, _is_finite, as_state_array
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,14 +94,21 @@ class BernoulliComponent:
     def __post_init__(self):
         try:
             existence = float(self.existence)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("existence probability must lie in [0, 1]") from None
         if not 0.0 <= existence <= 1.0:
             raise ValueError("existence probability must lie in [0, 1]")
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        try:
+            mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        except OverflowError:  # an integer too large for a float
+            raise ValueError("mean must be a non-empty finite vector") from None
         if mean.size < 1 or not np.all(np.isfinite(mean)):
             raise ValueError("mean must be a non-empty finite vector")
-        cov = np.asarray(self.covariance, dtype=float)
+        try:
+            cov = np.asarray(self.covariance, dtype=float)
+        except OverflowError:
+            raise ValueError("covariance must be a finite square matrix matching the mean") \
+                from None
         if cov.shape != (mean.size, mean.size) or not np.all(np.isfinite(cov)):
             raise ValueError("covariance must be a finite square matrix matching the mean")
         if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
@@ -204,7 +211,7 @@ class EstimatorConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.p_prime, numbers.Real) and math.isfinite(self.p_prime)
+        if not (isinstance(self.p_prime, numbers.Real) and _is_finite(self.p_prime)
                 and self.p_prime >= 1.0):
             raise ValueError("p_prime must lie in [1, inf)")
         if isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer)) \

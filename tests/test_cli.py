@@ -156,6 +156,15 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_integer_beyond_the_float_range_exit_2(self, capsys, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"dimension": 1, "points": [[1%s]]}' % ("0" * 400))
+        one = write_points(tmp_path / "one.json", [[0.0]])
+        code, out, err = run_cli(capsys, "compute", str(huge), one, "--c", "8")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "non-finite coordinate" in err
+
     def test_usage_error_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "compute")
         assert code == 2
@@ -299,6 +308,16 @@ class TestMean:
         assert code == 0
         assert json.loads(out)["config"]["p_prime"] == 2.0
 
+    def test_integer_beyond_the_float_range_exit_2(self, capsys, tmp_path, degenerate_models):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"components": [{"existence": 1.0, "mean": [1%s, 0.0], '
+                        '"covariance": [[1.0, 0.0], [0.0, 1.0]]}]}' % ("0" * 400))
+        code, out, err = run_cli(capsys, "mean", str(huge), degenerate_models[1],
+                                 "--c", "8", "--samples", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "mean must be" in err
+
     def test_model_parse_failure_exit_2(self, capsys, tmp_path, degenerate_models):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"components": []}))
@@ -346,6 +365,19 @@ class TestTable1:
     def test_invalid_samples_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "table1", "--samples", "0")
         assert code == 2
+
+
+@pytest.mark.parametrize("command", [["compute", "{a}", "{a}", "--c", "8"],
+                                     ["table1", "--samples", "2"]])
+def test_negative_precision_exit_2_before_any_output(capsys, tmp_path, command):
+    a = write_points(tmp_path / "a.json", [[0.0, 0.0]])
+    argv = [arg.format(a=a) for arg in command]
+    code, out, err = run_cli(capsys, *argv, "--precision", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--precision" in err
+    code, out, _ = run_cli(capsys, *argv, "--precision", "0")
+    assert code == 0 and out
 
 
 def test_module_entry_point_runs():

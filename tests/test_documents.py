@@ -44,6 +44,7 @@ class TestPointSetDocuments:
         {"dimension": 1, "points": [[float("nan")]]},
         {"dimension": 1, "points": [["a"]]},
         {"dimension": 1, "points": "nope"},
+        {"dimension": 1, "points": [[10 ** 400]]},
     ])
     def test_rejects_malformed(self, doc):
         with pytest.raises(ValueError):
@@ -108,6 +109,7 @@ class TestModelDocuments:
         {"components": [{"existence": 2.0, "mean": [0.0], "covariance": [[1.0]]}]},
         {"components": [{"existence": 1.0, "mean": [0.0],
                          "covariance": [[1.0, 0.0]]}]},
+        {"components": [{"existence": 1.0, "mean": [10 ** 400], "covariance": [[1.0]]}]},
     ])
     def test_rejects_malformed(self, doc):
         with pytest.raises(ValueError):

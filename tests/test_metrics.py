@@ -376,6 +376,22 @@ def test_non_numeric_parameters_are_value_errors():
             GospaParams(**kwargs)
 
 
+HUGE = 10 ** 400  # an integer too large for any float
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gospa([[HUGE]], [[0]], GospaParams(c=8.0)), "coordinates must be finite"),
+    (lambda: gospa([[0]], [[0], [-HUGE]], GospaParams(c=8.0)), "coordinates must be finite"),
+    (lambda: ospa([[0]], [[1]], c=HUGE), "c must be positive and finite"),
+    (lambda: GospaParams(c=HUGE), "c must be positive and finite"),
+    (lambda: GospaParams(c=8.0, p=HUGE), r"p must lie in \[1, inf\)"),
+    (lambda: cutoff_distance([0.0], [HUGE], c=8.0), "coordinates must be finite"),
+], ids=["gospa-truth", "gospa-estimate", "ospa-c", "params-c", "params-p", "cutoff-distance"])
+def test_an_integer_beyond_the_float_range_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_import_does_not_load_scipy():
     import gospa
 
@@ -490,7 +506,8 @@ def geometry(kind, n, rng, c):
 
 
 @pytest.mark.parametrize("kind", ["spread", "clustered", "mixed"])
-@pytest.mark.parametrize("n_x, n_y", [(60, 45), (45, 60), (30, 30), (7, 12), (12, 7)])
+@pytest.mark.parametrize("n_x, n_y", [(60, 45), (45, 60), (30, 30), (7, 12), (12, 7),
+                                      (90, 80), (80, 90)])
 @pytest.mark.parametrize("seed, p", [(0, 1.0), (1, 1.5), (2, 2.0)])
 def test_matches_whole_matrix_solve(kind, n_x, n_y, seed, p):
     rng = np.random.default_rng([seed, n_x, n_y])
@@ -507,3 +524,63 @@ def test_matches_whole_matrix_solve(kind, n_x, n_y, seed, p):
     uospa = gospa(x, y, GospaParams(c=c, alpha=1.0, p=p)).total
     assert uospa ** p == pytest.approx(uospa_p, rel=1e-12)
     assert ospa(x, y, c=c, p=p) ** p == pytest.approx(uospa_p / max(n_x, n_y), rel=1e-12)
+
+
+# --- the sweep that finds the close pairs of large inputs -------------------
+
+@st.composite
+def sweep_cases(draw):
+    """Two sets and a cut-off at one scale in [1e-100, 1e100], in 1 to 4
+    dimensions, moved together by an offset up to 1e12 times that scale;
+    some on an integer lattice (exact ties), some with every point on one
+    value of the first coordinate (tied sweep keys)."""
+    dim = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    lattice = draw(st.booleans())
+    elements = (st.integers(-5, 5).map(float) if lattice
+                else st.floats(-10.0, 10.0, allow_nan=False))
+    x, y = (draw(arrays(np.float64, (draw(st.integers(0, 12)), dim), elements=elements))
+            for _ in range(2))
+    if draw(st.booleans()):
+        x[:, 0] = y[:, 0] = draw(elements)
+    c = float(draw(st.integers(1, 4))) if lattice else draw(st.floats(0.5, 8.0))
+    base = draw(st.sampled_from(["euclidean", "manhattan"]))
+    offset = draw(st.sampled_from([0.0, -1e3, 1e6, 1e12]))
+    return ((x + offset) * scale, (y + offset) * scale, c * scale, base,
+            draw(st.sampled_from([1.0, 2.0, 3.5])))
+
+
+def every_result(x, y, c, base, p):
+    try:
+        detected = gospa(x, y, GospaParams(c=c, alpha=2.0, p=p, base_distance=base))
+        uospa = gospa(x, y, GospaParams(c=c, alpha=1.0, p=p, base_distance=base)).total
+        return (detected.total, detected.localization_cost_p, detected.assignment.pairs,
+                uospa, ospa(x, y, c=c, p=p, base_distance=base))
+    except ValueError as exc:  # c**p beyond the float range, on either path
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_sweep_and_whole_matrix_give_identical_results(case):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_SWEEP_MIN_PAIRS", math.inf)
+        dense = every_result(*case)
+        patch.setattr(metrics, "_SWEEP_MIN_PAIRS", 0)
+        patch.setattr(metrics, "_SWEEP_MAX_SHARE", 1.0)  # never falls back
+        swept = every_result(*case)
+    assert swept == dense
+
+
+def test_a_callable_base_distance_never_takes_the_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a callable gives no bound on one coordinate")
+
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(0.0, 20.0, (9, 2)), rng.uniform(0.0, 20.0, (8, 2))
+    expected = gospa(x, y, GospaParams(c=4.0, p=2.0)).total
+    monkeypatch.setattr(metrics, "_SWEEP_MIN_PAIRS", 0)
+    monkeypatch.setattr(metrics, "_sweep_candidates", no_sweep)
+    params = GospaParams(c=4.0, p=2.0, base_distance=lambda a, b: float(np.hypot(*(a - b))))
+    assert gospa(x, y, params).total == pytest.approx(expected, rel=1e-12)

@@ -80,6 +80,20 @@ class TestBernoulliComponent:
             BernoulliComponent(1.0, [0.0, 0.0], [[1.0]])
 
 
+HUGE = 10 ** 400  # an integer too large for any float
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BernoulliComponent(HUGE, [0.0], [[1.0]]), "existence"),
+    (lambda: BernoulliComponent(1.0, [0.0, HUGE], np.eye(2)), "mean"),
+    (lambda: BernoulliComponent(1.0, [0.0], [[HUGE]]), "covariance"),
+    (lambda: EstimatorConfig(p_prime=HUGE), "p_prime"),
+], ids=["existence", "mean", "covariance", "p_prime"])
+def test_an_integer_beyond_the_float_range_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestMultiBernoulli:
     def test_requires_components(self):
         with pytest.raises(ValueError):
