@@ -9,6 +9,8 @@ reported by :class:`GospaBreakdown`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 import sys
@@ -31,6 +33,15 @@ _SWEEP_MIN_PAIRS = 4096
 # whole matrix instead.  Gathering a candidate costs about three matrix
 # entries, and a large component's distances are computed once more.
 _SWEEP_MAX_SHARE = 0.25
+# A stack of samples with at most this many truths, a named base distance
+# and at most _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x is
+# solved by enumerating every injection of the truths into the estimates.
+_ENUMERATION_MAX_TRUTHS = 3
+_ENUMERATION_MAX_INJECTIONS = 1024
+# A sample whose best and second-best detected-pair sets differ in cost by
+# at most this share of c**p is solved by `_evaluate` instead, so rounding
+# in the enumeration can never pick a different set.
+_ENUMERATION_TIE_GAP = 1e-9
 
 
 def _is_finite(value) -> bool:
@@ -397,6 +408,133 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
             values["uospa", p] = total_p ** (1.0 / p)
             n_max = max(n_x, n_y)
             values["ospa", p] = (total_p / n_max) ** (1.0 / p) if n_max else 0.0
+    return values
+
+
+@functools.lru_cache(maxsize=None)
+def _injections(n_x: int, n_y: int) -> np.ndarray:
+    """Every injection of ``n_x`` truths into ``n_y`` estimates, one row
+    each, in lexicographic order.  Entry i is truth i's estimate, or ``n_y``
+    when the truth is unpaired, so an unpaired truth ranks after every
+    estimate.  The table is read-only, as every caller shares it; the
+    enumeration limits leave about a thousand shapes to cache."""
+    rows = [row for row in itertools.product(range(n_y + 1), repeat=n_x)
+            if len({j for j in row if j < n_y}) == sum(j < n_y for j in row)]
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), n_x)
+    table.flags.writeable = False
+    return table
+
+
+def _enumerated_gamma(distances: np.ndarray, c: float, p: float, cut_entry: float):
+    """The detected-pair set of every sample of a stack, by enumeration.
+
+    ``distances`` has shape (samples, n_x, n_y), with n_x and n_y at least
+    one.  Pairing truth i with estimate j changes the cost by
+    ``d**p - c**p`` on an edge (d < c); a pair that is no edge is out of
+    reach, and an unpaired truth changes nothing.  Of the injections in
+    lexicographic order, ``argmin`` takes the first cheapest, which is the
+    tie rule of :class:`GospaBreakdown`.
+
+    Returns ``(chosen, pair_costs, unclear)``, each row one sample: each
+    truth's estimate (``n_y`` when unpaired), the cost of that pair (read
+    only where there is one), and whether the runner-up lies within
+    ``_ENUMERATION_TIE_GAP * c**p`` of the optimum.
+    """
+    n_s, n_x, n_y = distances.shape
+    costs = np.minimum(distances, c) ** p  # array powers, as in _detected_pairs
+    gains = np.zeros((n_s, n_x, n_y + 1))
+    gains[:, :, :n_y] = np.where(distances < c, costs - cut_entry, np.inf)
+    injections = _injections(n_x, n_y)
+    objective = gains[:, 0, injections[:, 0]]
+    for i in range(1, n_x):
+        objective = objective + gains[:, i, injections[:, i]]
+    chosen = injections[objective.argmin(axis=1)]
+    pair_costs = np.take_along_axis(costs, np.minimum(chosen, n_y - 1)[:, :, None], axis=2)
+    best, runner_up = np.partition(objective, 1, axis=1)[:, :2].T
+    unclear = runner_up - best <= _ENUMERATION_TIE_GAP * cut_entry
+    return chosen, pair_costs[:, :, 0], unclear
+
+
+def _stack_totals(chosen: np.ndarray, pair_costs: np.ndarray, n_y: int, cut_entry: float,
+                  cut_p: float, alpha: float) -> np.ndarray:
+    """GOSPA**p of every sample of a stack, summed in the order of
+    :func:`_totals`, so that each sum is bit-identical to its result.
+
+    ``chosen`` is each truth's estimate (``n_y`` when unpaired) and
+    ``pair_costs`` the cost of that pair, read only where there is one.
+    """
+    n_s, n_x = chosen.shape
+    paired = chosen < n_y
+    if alpha == 2.0:
+        localization_p = np.zeros(n_s)
+        for i in range(n_x):
+            localization_p += np.where(paired[:, i], pair_costs[:, i], 0.0)
+        detected = paired.sum(axis=1)
+        return localization_p + (cut_p / 2.0) * ((n_x - detected) + (n_y - detected))
+    lap_total = np.zeros(n_s)
+    if n_x <= n_y:
+        for i in range(n_x):
+            lap_total += np.where(paired[:, i], pair_costs[:, i], cut_entry)
+    else:
+        for j in range(n_y):
+            hit = chosen == j  # at most one truth per sample
+            lap_total += np.where(hit.any(axis=1), np.where(hit, pair_costs, 0.0).sum(axis=1),
+                                  cut_entry)
+    return lap_total + (cut_p / alpha) * abs(n_y - n_x)
+
+
+def _evaluate_many(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
+                   alpha: float, requests: dict[float, Sequence[str]]) -> dict:
+    """:func:`_evaluate` for each sample of a stack of same-shape samples.
+
+    ``xs`` has shape (samples, n_x, D) and ``ys`` (samples, n_y, D).
+    Returns ``{(name, p): values}`` for the requested names, one value per
+    sample, each bit-identical to what :func:`_evaluate` gives.  A stack of
+    at most ``_ENUMERATION_MAX_TRUTHS`` truths, with a named base distance
+    and at most ``_ENUMERATION_MAX_INJECTIONS`` values of ``(n_y + 1) **
+    n_x``, is solved at once by :func:`_enumerated_gamma`; a sample whose
+    optimum it finds unclear, and every sample of any other stack, goes
+    through :func:`_evaluate`.
+    """
+    n_s, n_x = xs.shape[:2]
+    n_y = ys.shape[1]
+    keys = [(name, p) for p, names in requests.items() for name in names]
+    if (callable(base) or n_x > _ENUMERATION_MAX_TRUTHS
+            or (n_y + 1) ** n_x > _ENUMERATION_MAX_INJECTIONS):
+        evaluated = [_evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
+        return {key: [values[key] for values in evaluated] for key in keys}
+    c = float(c)
+    n_max = max(n_x, n_y)
+    if n_x and n_y:
+        distances = _distances(xs[:, :, None, :] - ys[:, None, :, :], base)
+    unclear = np.zeros(n_s, dtype=bool)
+    values = {}
+    for p, names in requests.items():
+        try:
+            cut_p = c ** p if n_max else 0.0
+        except OverflowError:
+            raise ValueError("cost matrix entries must be finite") from None
+        if n_x and n_y:
+            cut_entry = float((np.full(1, c) ** p)[0])
+            if not math.isfinite(cut_entry):
+                raise ValueError("cost matrix entries must be finite")
+            chosen, pair_costs, unclear_p = _enumerated_gamma(distances, c, p, cut_entry)
+            unclear |= unclear_p
+        else:  # no pair exists, and no sum reads the cost entry
+            cut_entry = cut_p
+            chosen = np.full((n_s, n_x), n_y)
+            pair_costs = np.zeros((n_s, n_x))
+        for name in names:
+            total_p = _stack_totals(chosen, pair_costs, n_y, cut_entry, cut_p,
+                                    alpha if name == "gospa" else 1.0).tolist()
+            if name == "ospa":
+                values[name, p] = [(t / n_max) ** (1.0 / p) if n_max else 0.0 for t in total_p]
+            else:
+                values[name, p] = [t ** (1.0 / p) for t in total_p]
+    for k in np.flatnonzero(unclear).tolist():
+        exact = _evaluate(xs[k], ys[k], base, c, alpha, requests)
+        for key in keys:
+            values[key][k] = exact[key]
     return values
 
 

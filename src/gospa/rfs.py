@@ -3,20 +3,34 @@
 The estimators approximate ``E[d(X, Y)**p'] ** (1/p')`` for jointly
 distributed random finite sets, where d is GOSPA, OSPA or unnormalized
 OSPA.  Sampling is reproducible: every Monte Carlo sample draws from its
-own generator seeded by mixing the master seed with the sample index, so
+own random stream keyed by mixing the master seed with the sample index, so
 results are bit-identical for a fixed master seed regardless of how the
 samples are distributed over workers.
 
-Draw layout v2.  A multi-Bernoulli model with K components in D dimensions
-takes, from the generator, K uniforms (component k exists when the k-th is
-below its existence probability) and then one (K, D) block of standard
-normals (row k is component k's noise, mapped through its Cholesky
-factor).  The existing components are returned in index order.  The values
-drawn depend only on K and D, never on which components exist, so models
-that differ only in existence probabilities share every common point.  A
-pair sampler draws the truth before the estimate from one generator.
-Layout v2 replaced the v1 per-component loop (one uniform per component,
-then that component's D normals only if it existed), so every seeded
+Draw layout v3.  Sample k's key is ``derive_sample_seed(master_seed, k)``,
+and its i-th word is ``_mix64(_mix64(key) + (i + 1) * 0x9E3779B97F4A7C15)``:
+output i of the SplitMix64 generator (Steele, Lea and Flood, "Fast
+splittable pseudorandom number generators", OOPSLA 2014) whose state starts
+at the mixed key.  Mixing the key first means that keys differing by a
+multiple of the increment do not give shifted copies of one stream.  A
+uniform is ``(word >> 11) * 2**-53``.
+
+A multi-Bernoulli model with K components in D dimensions takes K uniforms
+(component k exists when the k-th is below its existence probability), then
+K * D standard normals, row k being component k's noise mapped through its
+Cholesky factor.  The normals come by Box-Muller from ceil(K * D / 2) pairs
+of uniforms (u1, u2): ``r = sqrt(-2 ln(1 - u1))`` and ``theta = 2 pi u2``
+give ``r cos(theta)`` and then ``r sin(theta)``, and an odd count drops the
+last sine.  The existing components are returned in index order.  The words
+a model takes depend only on K and D, never on which components exist, so
+models that differ only in existence probabilities share every common
+point.  A pair sampler's truth takes the first words of the stream and its
+estimate the words after them.
+
+Every word is a function of the key and its index alone, so a whole chunk
+of samples is drawn with a few array operations, and a sample drawn alone
+is bit-identical to the same sample drawn in a chunk.  Layout v3 replaced
+v2, which drew from a ``PCG64`` generator per sample, so every seeded
 estimate changed within Monte Carlo error.
 """
 
@@ -31,9 +45,15 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .metrics import GospaParams, _evaluate, _is_finite, as_state_array
+from .metrics import GospaParams, _evaluate_many, _is_finite, as_state_array
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+# Samples drawn and evaluated together: at most _CHUNK_SAMPLES, and no more
+# than keep a chunk's stream words within _CHUNK_WORDS.  The two bound the
+# transient memory of a run, whatever the number of components.
+_CHUNK_SAMPLES = 256
+_CHUNK_WORDS = 16384
 
 TABLE1_N_MISSED = (0, 1, 2)
 TABLE1_N_FALSE = (0, 1, 3, 10)
@@ -50,10 +70,38 @@ _TABLE1_FALSE_MEANS = tuple((20.0 * k, 20.0) for k in range(1, 11))
 
 def derive_sample_seed(master_seed: int, index: int) -> int:
     """Per-sample 64-bit seed: splitmix-style mix of master seed and index."""
-    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (master_seed + (index + 1) * _GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser of :func:`derive_sample_seed`, on uint64
+    arrays, whose arithmetic wraps modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _splitmix64(states: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Outputs ``start`` to ``start + count - 1`` of the SplitMix64
+    generators with the given initial states, as a (len(states), count)
+    uint64 array; output i of state s is ``_mix64(s + (i + 1) * gamma)``."""
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA)
+    return _mix64(states[:, None] + steps)
+
+
+def _sample_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_sample_seed(master_seed, k)`` for k in [lo, hi): outputs lo
+    to hi - 1 of the SplitMix64 generator whose state is the master seed."""
+    return _splitmix64(np.array([master_seed], dtype=np.uint64), lo, hi - lo)[0]
+
+
+def _stream_words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Words ``start`` to ``start + count - 1`` of each key's stream: the
+    SplitMix64 generator whose state starts at ``_mix64(key)``."""
+    return _splitmix64(_mix64(keys), start, count)
 
 
 def _validated_seed(seed) -> int:
@@ -129,7 +177,7 @@ class MultiBernoulli:
     """Union of independent Bernoulli components, all of one dimension."""
 
     components: tuple[BernoulliComponent, ...]
-    # the components stacked once, in index order, for draw layout v2
+    # the components stacked once, in index order, for draw layout v3
     _existence: np.ndarray = field(init=False, repr=False)
     _means: np.ndarray = field(init=False, repr=False)
     _scale_trils: np.ndarray = field(init=False, repr=False)
@@ -152,18 +200,40 @@ class MultiBernoulli:
     def dimension(self) -> int:
         return self.components[0].dimension
 
+    @property
+    def _word_count(self) -> int:
+        """Stream words one draw takes: K uniforms, then the uniform pairs
+        of K * D normals."""
+        n_components, dimension = self._means.shape
+        return n_components + 2 * -(-n_components * dimension // 2)
 
-def _sample_with_rng(model: MultiBernoulli, rng: np.random.Generator) -> np.ndarray:
-    # draw layout v2, stated in the module docstring
-    present = rng.random(len(model._existence)) < model._existence
-    noise = rng.standard_normal(model._means.shape)
-    return (model._means + np.einsum("kij,kj->ki", model._scale_trils, noise))[present]
+    def _draw(self, keys: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw layout v3, stated in the module docstring, from words
+        ``start`` onward of each key's stream.  Returns every component's
+        point as (len(keys), K, D) and which exist as (len(keys), K)."""
+        n_components, dimension = self._means.shape
+        n_normals = n_components * dimension
+        words = _stream_words(keys, start, self._word_count)
+        uniforms = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        present = uniforms[:, :n_components] < self._existence
+        radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:, n_components::2]))
+        angle = (2.0 * math.pi) * uniforms[:, n_components + 1::2]
+        normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2)
+        normals = normals.reshape(len(keys), -1)[:, :n_normals].reshape(
+            len(keys), n_components, dimension)
+        # the Cholesky product one column at a time: elementwise, so a
+        # point does not depend on how many samples are drawn with it
+        trils = self._scale_trils
+        noise = trils[:, :, 0] * normals[:, :, None, 0]
+        for j in range(1, dimension):
+            noise = noise + trils[:, :, j] * normals[:, :, None, j]
+        return self._means + noise, present
 
 
 def sample_multi_bernoulli(model: MultiBernoulli, seed: int) -> np.ndarray:
     """Draw one realization of the model, fully determined by the seed."""
-    rng = np.random.Generator(np.random.PCG64(_validated_seed(seed)))
-    return _sample_with_rng(model, rng)
+    points, present = model._draw(np.array([_validated_seed(seed)], dtype=np.uint64), 0)
+    return points[0][present[0]]
 
 
 class PairSampler(Protocol):
@@ -182,8 +252,15 @@ class IndependentPairSampler:
             raise ValueError("truth and estimate models must share one dimension")
 
     def sample_pair(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.Generator(np.random.PCG64(_validated_seed(seed)))
-        return _sample_with_rng(self.truth, rng), _sample_with_rng(self.estimate, rng)
+        (xs, x_present), (ys, y_present) = self._draw(
+            np.array([_validated_seed(seed)], dtype=np.uint64))
+        return xs[0][x_present[0]], ys[0][y_present[0]]
+
+    def _draw(self, keys: np.ndarray):
+        """The truth from the first words of each key's stream, then the
+        estimate from the words after them, as ``MultiBernoulli._draw``
+        returns them."""
+        return self.truth._draw(keys, 0), self.estimate._draw(keys, self.truth._word_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,11 +343,58 @@ def _estimate_from_powers(powers: np.ndarray, p_prime: float) -> MetricEstimate:
     mean_power = float(np.mean(powers))
     value = mean_power ** (1.0 / p_prime)
     if n > 1 and mean_power > 0.0:
-        se_mean = float(np.std(powers, ddof=1)) / math.sqrt(n)
-        standard_error = se_mean * value / (p_prime * mean_power)
+        # scaled by a power of two, which is exact, so that no square
+        # overflows; divided by the mean before the product with the value
+        exponent = math.frexp(float(powers.max()))[1]
+        spread = float(np.std(np.ldexp(powers, -exponent), ddof=1))
+        se_mean = math.ldexp(spread, exponent) / math.sqrt(n)
+        standard_error = se_mean / (p_prime * mean_power) * value
     else:
         standard_error = 0.0
     return MetricEstimate(value=value, standard_error=standard_error, samples=n)
+
+
+def _chunk_size(sampler: PairSampler) -> int:
+    if isinstance(sampler, IndependentPairSampler):
+        words = sampler.truth._word_count + sampler.estimate._word_count
+        return max(1, min(_CHUNK_SAMPLES, _CHUNK_WORDS // words))
+    return _CHUNK_SAMPLES
+
+
+def _pair_groups(sampler: PairSampler, keys: np.ndarray):
+    """The pairs of a chunk of sample keys, grouped by shape.
+
+    Yields ``(positions, xs, ys)``: the positions in ``keys`` of a group's
+    samples, their truths stacked as (samples, n_x, D) and their estimates
+    as (samples, n_y, D).  An :class:`IndependentPairSampler` draws the
+    whole chunk at once; any other sampler is called once per key.
+    """
+    if isinstance(sampler, IndependentPairSampler):
+        (xs, x_present), (ys, y_present) = sampler._draw(keys)
+        n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
+        shapes, groups = np.unique(n_x * (y_present.shape[1] + 1) + n_y, return_inverse=True)
+        for group in range(len(shapes)):
+            positions = np.flatnonzero(groups == group)
+            size = len(positions)
+            yield (positions,
+                   xs[positions][x_present[positions]].reshape(size, -1, xs.shape[2]),
+                   ys[positions][y_present[positions]].reshape(size, -1, ys.shape[2]))
+        return
+    pairs = [sampler.sample_pair(key) for key in keys.tolist()]
+    by_shape: dict[tuple, list[int]] = {}
+    for k, (x, y) in enumerate(pairs):
+        by_shape.setdefault((np.shape(x), np.shape(y)), []).append(k)
+    for positions in by_shape.values():
+        yield (np.array(positions), np.stack([pairs[k][0] for k in positions]),
+               np.stack([pairs[k][1] for k in positions]))
+
+
+def _outer_powers(values: list[float], p_prime: float) -> list[float]:
+    try:
+        return [value ** p_prime for value in values]
+    except OverflowError:
+        raise ValueError(f"a metric value to the power p' = {p_prime:g} overflows "
+                         "a float") from None
 
 
 def _estimate_cells(sampler: PairSampler, params: GospaParams, cells, samples: int,
@@ -278,25 +402,34 @@ def _estimate_cells(sampler: PairSampler, params: GospaParams, cells, samples: i
     """Estimate every cell ``(metric, p, p')`` from one draw per sample.
 
     Sample k uses the seed ``derive_sample_seed(master_seed, k)`` for all
-    cells, and the per-sample values are reduced in index order, so the
-    results do not depend on ``workers``.
+    cells.  The samples are drawn in chunks, and each chunk's samples of
+    one shape are evaluated together by ``metrics._evaluate_many``, whose
+    values are those of the scalar kernel.  The per-sample values are
+    reduced in index order, so the results depend on neither ``workers``
+    nor the chunk boundaries.
     """
     requests: dict[float, list[str]] = {}
     for metric, p, _ in cells:
         _require_metric(metric)
         requests.setdefault(p, []).append(metric)
     base, c, alpha = params.base_distance, params.c, params.alpha
-    powers = [(np.empty(samples), (metric, p), p_prime) for metric, p, p_prime in cells]
+    try:
+        powers = np.empty((len(cells), samples))
+    except MemoryError:
+        raise ValueError(f"not enough memory for the values of {samples} samples") from None
+
+    chunk = _chunk_size(sampler)
 
     def block(lo: int, hi: int) -> None:
-        for k in range(lo, hi):
-            xs, ys = sampler.sample_pair(derive_sample_seed(master_seed, k))
-            values = _evaluate(xs, ys, base, c, alpha, requests)
-            for row, key, p_prime in powers:
-                row[k] = values[key] ** p_prime
+        for start in range(lo, hi, chunk):
+            keys = _sample_keys(master_seed, start, min(start + chunk, hi))
+            for positions, xs, ys in _pair_groups(sampler, keys):
+                values = _evaluate_many(xs, ys, base, c, alpha, requests)
+                for row, (metric, p, p_prime) in zip(powers, cells):
+                    row[start + positions] = _outer_powers(values[metric, p], p_prime)
 
     _run_blocks(samples, workers, block)
-    return [_estimate_from_powers(row, p_prime) for row, _, p_prime in powers]
+    return [_estimate_from_powers(row, p_prime) for row, (_, _, p_prime) in zip(powers, cells)]
 
 
 def estimate_metric(sampler: PairSampler, params: GospaParams, cfg: EstimatorConfig,

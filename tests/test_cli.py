@@ -327,6 +327,55 @@ class TestMean:
         assert "components" in err
 
 
+@pytest.fixture
+def remote_models(tmp_path):
+    """A sure truth at the origin and a likely-absent estimate 1e200 away."""
+    truth = rfs.MultiBernoulli((rfs.BernoulliComponent(1.0, [0.0, 0.0], np.eye(2)),))
+    estimate = rfs.MultiBernoulli((rfs.BernoulliComponent(0.5, [1e200, 0.0], np.eye(2)),))
+    return (write_model(tmp_path / "t.json", truth), write_model(tmp_path / "e.json", estimate))
+
+
+@pytest.mark.parametrize("options", [
+    ["--c", "1e200", "--p", "1", "--p-prime", "2"],
+    ["--metric", "ospa", "--c", "1e300", "--p", "1", "--p-prime", "1.5"],
+])
+def test_overflowing_outer_power_exit_2(capsys, remote_models, options):
+    code, out, err = run_cli(capsys, "mean", *remote_models, *options, "--samples", "50")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflows" in err
+
+
+def test_standard_error_of_huge_values_is_finite(remote_models):
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gospa", "mean", *remote_models,
+         "--c", "1e150", "--p", "2", "--samples", "50"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    lines = dict(line.split(": ", 1) for line in done.stdout.splitlines()[2:])
+    assert 1e149 < float(lines["value"]) < 1e150
+    assert 0.0 < float(lines["standard error"]) < 1e150
+
+
+@pytest.mark.parametrize("command", ["table1", "mean"])
+def test_samples_beyond_memory_exit_2(capsys, monkeypatch, remote_models, command):
+    real_empty = np.empty
+    huge = 10 ** 11
+
+    def empty(shape, *args, **kwargs):
+        if huge in np.atleast_1d(shape):
+            raise MemoryError("cannot allocate")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(rfs.np, "empty", empty)
+    argv = ["table1"] if command == "table1" else ["mean", *remote_models, "--c", "8"]
+    code, out, err = run_cli(capsys, *argv, "--samples", str(huge))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(huge) in err
+
+
 class TestTable1:
     def test_byte_identical_reruns_and_workers(self, capsys):
         code1, out1, _ = run_cli(capsys, "table1", "--samples", "40", "--seed", "7")

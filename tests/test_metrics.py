@@ -26,6 +26,7 @@ from oracles import (
     gospa_alpha2_gamma_oracle,
     gospa_permutation_form,
     gospa_permutation_oracle,
+    iter_assignment_sets,
     manhattan,
     unnormalized_ospa_closed_form,
 )
@@ -584,3 +585,107 @@ def test_a_callable_base_distance_never_takes_the_sweep(monkeypatch):
     monkeypatch.setattr(metrics, "_sweep_candidates", no_sweep)
     params = GospaParams(c=4.0, p=2.0, base_distance=lambda a, b: float(np.hypot(*(a - b))))
     assert gospa(x, y, params).total == pytest.approx(expected, rel=1e-12)
+
+
+# --- stacks of same-shape samples ----------------------------------------------
+
+ALL_NAMES = ("gospa", "uospa", "ospa")
+
+
+def assert_matches_evaluate(xs, ys, base, c, alpha, requests):
+    """``_evaluate_many`` gives, bit for bit, what ``_evaluate`` gives per sample."""
+    expected = [metrics._evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
+    got = metrics._evaluate_many(xs, ys, base, c, alpha, requests)
+    assert set(got) == {(name, p) for p, names in requests.items() for name in names}
+    for key, values in got.items():
+        assert np.array(values).tobytes() == np.array([e[key] for e in expected]).tobytes(), key
+
+
+@st.composite
+def sample_stacks(draw):
+    n_s, n_x = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    n_y, dim = draw(st.integers(0, 12)), draw(st.integers(1, 3))
+    elements = st.floats(-12.0, 12.0, allow_nan=False)
+    return (draw(arrays(np.float64, (n_s, n_x, dim), elements=elements)),
+            draw(arrays(np.float64, (n_s, n_y, dim), elements=elements)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_stacks(), st.sampled_from(["euclidean", "manhattan"]),
+       st.floats(0.5, 10.0, allow_nan=False), st.sampled_from([2.0, 1.5, 1.0]),
+       st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=1, max_size=2, unique=True),
+       st.lists(st.sampled_from(ALL_NAMES), min_size=1, max_size=3, unique=True))
+def test_many_samples_match_evaluate_bitwise(stack, base, c, alpha, exponents, names):
+    assert_matches_evaluate(*stack, base, c, alpha, {p: tuple(names) for p in exponents})
+
+
+@pytest.mark.parametrize("n_x, n_y, dim", [(1, 6, 1), (2, 12, 2), (3, 9, 3), (3, 2, 2),
+                                           (2, 0, 2), (0, 5, 1), (0, 0, 2)])
+@pytest.mark.parametrize("base", ["euclidean", "manhattan"])
+def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base):
+    rng = np.random.default_rng(10 * n_x + n_y)
+    xs = rng.normal(scale=3.0, size=(300, n_x, dim))
+    ys = rng.normal(scale=3.0, size=(300, n_y, dim))
+    # not p = 1: Manhattan costs then tie on whole regions of inputs.
+    # c ** 3.5 differs in the last bit between NumPy's array power and
+    # Python's, so each sum must take the one that _totals takes.
+    requests = {2.0: ALL_NAMES, 3.5: ALL_NAMES}
+    c = 5.664437418921517
+    for alpha in (2.0, 0.5):
+        expected = [metrics._evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_evaluate", None)  # any scalar solve would fail
+            got = metrics._evaluate_many(xs, ys, base, c, alpha, requests)
+        for key, values in got.items():
+            assert values == [e[key] for e in expected]
+
+
+@pytest.mark.parametrize("n_x, n_y, base", [(4, 2, "euclidean"), (3, 10, "euclidean"),
+                                            (2, 3, manhattan)])
+def test_other_stacks_take_the_scalar_kernel(monkeypatch, n_x, n_y, base):
+    rng = np.random.default_rng(3)
+    xs, ys = rng.normal(size=(5, n_x, 2)), rng.normal(size=(5, n_y, 2))
+    calls = []
+    evaluate = metrics._evaluate
+    monkeypatch.setattr(metrics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    monkeypatch.setattr(metrics, "_enumerated_gamma", None)
+    assert_matches_evaluate(xs, ys, base, 1.0, 2.0, {2.0: ALL_NAMES})
+    assert len(calls) == 2 * len(xs)  # the reference in the helper, then the stack
+
+
+def lattice_stacks():
+    return st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5)).flatmap(
+        lambda shape: st.tuples(
+            arrays(np.float64, (shape[0], shape[1], 2), elements=st.integers(0, 4).map(float)),
+            arrays(np.float64, (shape[0], shape[2], 2), elements=st.integers(0, 4).map(float))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_stacks(), st.integers(1, 5), st.sampled_from([1.0, 2.0]))
+def test_enumeration_takes_the_tie_rule_and_hands_ties_on(stack, c, p):
+    # integer coordinates, Manhattan distances and an integer cut-off keep
+    # every cost exact, so ties are real ties
+    xs, ys = stack
+    c = float(c)
+    distances = metrics._distances(xs[:, :, None, :] - ys[:, None, :, :], "manhattan")
+    chosen, _, unclear = metrics._enumerated_gamma(distances, c, p, c ** p)
+    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        gamma = tuple((i, j) for i, j in enumerate(chosen[k].tolist()) if j < len(y))
+        assert gamma == gospa_alpha2_gamma_oracle(x, y, c, p, distance=manhattan)
+        costs = sorted(
+            sum(manhattan(x[i], y[j]) ** p - c ** p for i, j in pairs)
+            for pairs in iter_assignment_sets(len(x), len(y))
+            if all(manhattan(x[i], y[j]) < c for i, j in pairs))
+        if len(costs) > 1 and costs[0] == costs[1]:
+            assert unclear[k]
+    assert_matches_evaluate(xs, ys, "manhattan", c, 2.0, {p: ALL_NAMES})
+    assert_matches_evaluate(xs, ys, "manhattan", c, 1.0, {p: ALL_NAMES})
+
+
+def test_a_cost_entry_beyond_the_float_range_is_a_value_error():
+    xs, ys = np.zeros((2, 1, 2)), np.ones((2, 2, 2))
+    for stack in ((xs, ys), (xs, ys[:, :0]), (xs[:, :0], ys)):
+        with pytest.raises(ValueError, match="finite"):
+            metrics._evaluate_many(*stack, "euclidean", 1e200, 2.0, {2.0: ALL_NAMES})
+    assert metrics._evaluate_many(xs[:, :0], ys[:, :0], "euclidean", 1e200, 2.0,
+                                  {2.0: ALL_NAMES})["ospa", 2.0] == [0.0, 0.0]

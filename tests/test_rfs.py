@@ -1,6 +1,7 @@
 """Tests for multi-Bernoulli models, sampling and the Monte Carlo estimators."""
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -146,10 +147,47 @@ class TestSampling:
                 sample_multi_bernoulli(model, bad)
 
 
+MASK64 = (1 << 64) - 1
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_words(key, count):
+    """The first words of a key's stream, with Python integers: SplitMix64
+    started from the mixed key."""
+    state, words = mix64(key), []
+    for _ in range(count):
+        state = (state + GOLDEN_GAMMA) & MASK64
+        words.append(mix64(state))
+    return words
+
+
+def reference_draw(means, factors, existences, key, start=0):
+    """Draw layout v3 with Python floats and libm: the present points, in
+    index order, of a model drawn from words ``start`` onward."""
+    n_components, dimension = np.shape(means)
+    n_pairs = -(-n_components * dimension // 2)
+    words = splitmix64_words(key, start + n_components + 2 * n_pairs)[start:]
+    uniforms = [(word >> 11) * 2.0 ** -53 for word in words]
+    normals = []
+    for m in range(n_pairs):
+        u1, u2 = uniforms[n_components + 2 * m], uniforms[n_components + 2 * m + 1]
+        radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+        normals += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    return [np.asarray(means[k]) + np.asarray(factors[k]) @ normals[k * dimension:(k + 1)
+                                                                    * dimension]
+            for k in range(n_components) if uniforms[k] < existences[k]]
+
+
 class TestDrawLayout:
-    """Draw layout v2: from a ``PCG64(seed)`` generator, K existence
-    uniforms, then a (K, D) block of standard normals, whichever components
-    exist; the present components in index order."""
+    """Draw layout v3: from the key's SplitMix64 stream, K existence
+    uniforms, then K * D standard normals by Box-Muller, whichever
+    components exist; the present components in index order."""
 
     MEANS = np.array([[0.0, 1.0, 2.0], [10.0, 11.0, 12.0], [20.0, 21.0, 22.0],
                       [30.0, 31.0, 32.0]])
@@ -166,11 +204,7 @@ class TestDrawLayout:
         model = self.model(existences)
         factors = [np.linalg.cholesky(np.asarray(cov)) for cov in self.COVARIANCES]
         for seed in range(40):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            uniforms = rng.random(4)
-            noise = rng.standard_normal((4, 3))
-            expected = [self.MEANS[k] + factors[k] @ noise[k]
-                        for k in range(4) if uniforms[k] < existences[k]]
+            expected = reference_draw(self.MEANS, factors, existences, seed)
             sample = sample_multi_bernoulli(model, seed)
             assert sample.shape == (len(expected), 3)
             if expected:
@@ -193,12 +227,62 @@ class TestDrawLayout:
                 assert (full == point).all(axis=1).any()
 
     def test_draw_count_does_not_depend_on_existence(self):
-        next_values = []
-        for existences in ([1.0] * 4, [0.0] * 4, [0.5] * 4):
-            rng = np.random.Generator(np.random.PCG64(9))
-            rfs._sample_with_rng(self.model(existences), rng)
-            next_values.append(rng.random())
-        assert next_values[0] == next_values[1] == next_values[2]
+        # the estimate takes the words after the truth's, so it is the same
+        # only if the truth takes as many words whichever components exist
+        estimate = self.model([1.0] * 4)
+        for seed in range(9, 49):
+            after = [IndependentPairSampler(self.model(existences), estimate).sample_pair(seed)[1]
+                     for existences in ([1.0] * 4, [0.0] * 4, [0.5] * 4)]
+            assert np.array_equal(after[0], after[1]) and np.array_equal(after[0], after[2])
+
+    @pytest.mark.parametrize("key", [0, 1, 9, 2 ** 63, MASK64, 0x0123456789ABCDEF])
+    def test_words_and_uniforms_match_python_integers(self, key):
+        words = rfs._stream_words(np.array([key], dtype=np.uint64), 0, 40)[0]
+        assert words.tolist() == splitmix64_words(key, 40)
+        tail = rfs._stream_words(np.array([key], dtype=np.uint64), 33, 7)[0]
+        assert tail.tolist() == splitmix64_words(key, 40)[33:]
+        uniforms = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        assert uniforms.tolist() == [(w >> 11) * 2.0 ** -53 for w in splitmix64_words(key, 40)]
+
+    def test_sample_keys_are_the_derived_seeds(self):
+        for master in (0, 7, MASK64):
+            keys = rfs._sample_keys(master, 5, 300).tolist()
+            assert keys == [derive_sample_seed(master, k) for k in range(5, 300)]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_normals_match_libm(self, dimension):
+        # three components: an odd count of normals when D is odd
+        rng = np.random.default_rng(dimension)
+        means = rng.normal(size=(3, dimension))
+        factors = [np.linalg.cholesky(a @ a.T + np.eye(dimension))
+                   for a in rng.normal(size=(3, dimension, dimension))]
+        model = MultiBernoulli(tuple(BernoulliComponent(1.0, m, f @ f.T)
+                                     for m, f in zip(means, factors)))
+        keys = rfs._sample_keys(3, 0, 50)
+        points, present = model._draw(keys, 4)
+        assert present.all()
+        for key, drawn in zip(keys.tolist(), points):
+            expected = reference_draw(means, model._scale_trils, [1.0] * 3, key, start=4)
+            np.testing.assert_allclose(drawn, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_a_chunk_draws_what_single_seeds_draw(self, dimension):
+        def model(count, existence):
+            return MultiBernoulli(tuple(
+                BernoulliComponent(existence, np.full(dimension, 3.0 * k),
+                                   np.eye(dimension) * (k + 1)) for k in range(count)))
+
+        sampler = IndependentPairSampler(model(3, 0.6), model(5, 0.4))
+        keys = rfs._sample_keys(21, 0, rfs._CHUNK_SAMPLES + 3)
+        for lo, hi in [(0, 1), (4, 7), (0, rfs._CHUNK_SAMPLES),
+                       (rfs._CHUNK_SAMPLES - 2, rfs._CHUNK_SAMPLES + 3)]:
+            (xs, x_present), (ys, y_present) = sampler._draw(keys[lo:hi])
+            for k, key in enumerate(keys[lo:hi].tolist()):
+                x, y = sampler.sample_pair(key)
+                assert np.array_equal(xs[k][x_present[k]], x)
+                assert np.array_equal(ys[k][y_present[k]], y)
+                assert np.array_equal(
+                    sample_multi_bernoulli(sampler.truth, key), x)
 
     def test_zero_covariance_component_gives_its_mean_exactly(self):
         mean = [0.1, -2.7, 1e-300]
@@ -366,6 +450,41 @@ class TestEstimateMetric:
             / (cfg.p_prime * np.mean(powers))
         assert result.standard_error == pytest.approx(se, rel=1e-12)
 
+    def test_chunk_boundaries_and_workers_change_nothing(self, monkeypatch):
+        sampler = table1_scenario(0, 1)
+        params = GospaParams(c=8.0, alpha=1.5, p=2.0)
+        cfg = EstimatorConfig(p_prime=1.5, samples=rfs._CHUNK_SAMPLES + 5, master_seed=8)
+        results = [estimate_metric(sampler, params, cfg, variant=variant, workers=workers)
+                   for variant in ("gospa", "ospa") for workers in (1, 2)]
+        for chunk in (1, 3):
+            monkeypatch.setattr(rfs, "_CHUNK_SAMPLES", chunk)
+            assert results == [estimate_metric(sampler, params, cfg, variant=variant,
+                                               workers=workers)
+                               for variant in ("gospa", "ospa") for workers in (1, 2)]
+        powers = [gospa(*sampler.sample_pair(derive_sample_seed(8, k)), params).total ** 1.5
+                  for k in range(cfg.samples)]
+        assert results[0].value == np.mean(powers) ** (1.0 / 1.5)
+
+    def test_chunks_of_large_models_stay_within_the_word_budget(self):
+        large = _point_model(np.zeros((60, 3)))  # 60 + 2 * 90 words a draw
+        assert rfs._chunk_size(IndependentPairSampler(large, large)) == rfs._CHUNK_WORDS // 480
+        assert rfs._chunk_size(table1_scenario(0, 10)) == rfs._CHUNK_SAMPLES
+        assert rfs._chunk_size(CustomJointSampler(lambda seed: ([], []))) == rfs._CHUNK_SAMPLES
+
+    def test_custom_sampler_of_varying_shape_matches_a_plain_loop(self):
+        def draw(seed):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            return (rng.normal(size=(int(rng.integers(0, 3)), 2)) * 3.0,
+                    rng.normal(size=(int(rng.integers(0, 6)), 2)) * 3.0)
+
+        sampler = CustomJointSampler(draw)
+        params = GospaParams(c=4.0, alpha=2.0, p=2.0)
+        cfg = EstimatorConfig(p_prime=2.0, samples=60, master_seed=5)
+        result = estimate_metric(sampler, params, cfg)
+        powers = [gospa(*sampler.sample_pair(derive_sample_seed(5, k)), params).total ** 2.0
+                  for k in range(cfg.samples)]
+        assert result.value == np.mean(powers) ** 0.5
+
     def test_single_cpu_runs_serially(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("no thread pool should start")
@@ -410,6 +529,57 @@ def test_rejects_non_integer_workers(workers):
                         workers=workers)
     with pytest.raises(ValueError, match="workers"):
         run_table1(samples=2, workers=workers)
+
+
+REMOTE_PAIR = (
+    MultiBernoulli((BernoulliComponent(1.0, [0.0, 0.0], np.eye(2)),)),
+    MultiBernoulli((BernoulliComponent(0.5, [1e200, 0.0], np.eye(2)),)),
+)
+
+
+@pytest.mark.parametrize("variant, c, p_prime", [("gospa", 1e200, 2.0),
+                                                 ("ospa", 1e300, 1.5)])
+def test_an_overflowing_outer_power_is_a_value_error(variant, c, p_prime):
+    sampler = IndependentPairSampler(*REMOTE_PAIR)
+    with pytest.raises(ValueError, match="overflows"):
+        estimate_metric(sampler, GospaParams(c=c, p=1.0),
+                        EstimatorConfig(p_prime=p_prime, samples=50), variant=variant)
+
+
+def test_standard_error_of_huge_values_is_finite_without_warnings():
+    sampler = IndependentPairSampler(*REMOTE_PAIR)
+    cfg = EstimatorConfig(p_prime=2.0, samples=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = estimate_metric(sampler, GospaParams(c=1e150, p=2.0), cfg)
+    assert 1e149 < result.value < 1e150
+    assert 0.0 < result.standard_error < result.value
+
+
+def test_standard_error_scaling_is_exact():
+    rng = np.random.default_rng(4)
+    for scale in (1.0, 1e-3, 7.5, 1e12):
+        powers = rng.random(100) * scale
+        mean_power = float(np.mean(powers))
+        se_mean = float(np.std(powers, ddof=1)) / math.sqrt(100)
+        result = rfs._estimate_from_powers(powers, 1.0)
+        assert result.standard_error == se_mean / mean_power * mean_power
+
+
+def test_values_that_do_not_fit_in_memory_are_a_value_error(monkeypatch):
+    real_empty = np.empty
+    huge = 10 ** 11
+
+    def empty(shape, *args, **kwargs):
+        if huge in np.atleast_1d(shape):
+            raise MemoryError("cannot allocate")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(rfs.np, "empty", empty)
+    with pytest.raises(ValueError, match=str(huge)):
+        run_table1(samples=huge)
+    with pytest.raises(ValueError, match=str(huge)):
+        estimate_metric(table1_scenario(0, 0), GospaParams(c=8.0), EstimatorConfig(samples=huge))
 
 
 class TestTable1Scenario:
