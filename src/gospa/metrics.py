@@ -35,9 +35,14 @@ _SWEEP_MIN_PAIRS = 4096
 _SWEEP_MAX_SHARE = 0.25
 # A stack of samples with at most this many truths, a named base distance
 # and at most _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x is
-# solved by enumerating every injection of the truths into the estimates.
-_ENUMERATION_MAX_TRUTHS = 3
+# solved by enumerating every injection of the truths into the estimates;
+# so is the part of a padded sample that its forced pairs leave.
+_ENUMERATION_MAX_TRUTHS = 4
 _ENUMERATION_MAX_INJECTIONS = 1024
+# A padded stack finds its edges over blocks of samples holding at most this
+# many truth-estimate slot pairs; a model pair with more slot pairs than
+# this is evaluated one sample at a time.
+_PADDED_BLOCK_CELLS = 16384
 # A sample whose best and second-best detected-pair sets differ in cost by
 # at most this share of c**p is solved by `_evaluate` instead, so rounding
 # in the enumeration can never pick a different set.
@@ -411,6 +416,15 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
     return values
 
 
+def _enumerable(n_x, n_y):
+    """Whether n_x truths and n_y estimates, integers or integer arrays, are
+    within the enumeration limits."""
+    # both bases capped so that the integer power cannot wrap
+    bases = np.minimum(n_y, _ENUMERATION_MAX_INJECTIONS) + 1
+    return (np.asarray(n_x) <= _ENUMERATION_MAX_TRUTHS) & (
+        bases ** np.minimum(n_x, _ENUMERATION_MAX_TRUTHS) <= _ENUMERATION_MAX_INJECTIONS)
+
+
 @functools.lru_cache(maxsize=None)
 def _injections(n_x: int, n_y: int) -> np.ndarray:
     """Every injection of ``n_x`` truths into ``n_y`` estimates, one row
@@ -499,8 +513,7 @@ def _evaluate_many(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
     n_s, n_x = xs.shape[:2]
     n_y = ys.shape[1]
     keys = [(name, p) for p, names in requests.items() for name in names]
-    if (callable(base) or n_x > _ENUMERATION_MAX_TRUTHS
-            or (n_y + 1) ** n_x > _ENUMERATION_MAX_INJECTIONS):
+    if callable(base) or not _enumerable(n_x, n_y):
         evaluated = [_evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
         return {key: [values[key] for values in evaluated] for key in keys}
     c = float(c)
@@ -535,6 +548,174 @@ def _evaluate_many(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
         exact = _evaluate(xs[k], ys[k], base, c, alpha, requests)
         for key in keys:
             values[key][k] = exact[key]
+    return values
+
+
+def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.ndarray,
+                   n_y: np.ndarray, cut_entry: float, cut_p: float, alphas) -> dict:
+    """GOSPA**p at each of ``alphas`` for every sample of a padded stack,
+    summed in the order of :func:`_totals`, so that each sum is
+    bit-identical to its result.
+
+    ``pairs`` holds the detected pairs of all samples as (sample, truth,
+    estimate, cost) arrays; truths and estimates index the slots of
+    ``x_present`` and ``y_present``, and ``n_x`` and ``n_y`` count each
+    sample's present slots.  Each sum is a cumulative sum along the slots,
+    which accumulates left to right: a slot holds its pair's cost, the cost
+    entry when its target is present and unpaired, or 0.0 when it is
+    absent, and adding 0.0 is exact.
+    """
+    sample, truth, estimate, cost = pairs
+    totals = {}
+    if 2.0 in alphas:
+        localization = np.zeros(x_present.shape)
+        localization[sample, truth] = cost
+        detected = np.bincount(sample, minlength=len(x_present))
+        totals[2.0] = np.cumsum(localization, axis=1)[:, -1] + (cut_p / 2.0) * (
+            (n_x - detected) + (n_y - detected))
+    if alphas - {2.0}:
+        # the complete assignment of the smaller set, as in _totals
+        x_smaller = n_x <= n_y
+        lap_total = np.zeros(len(x_present))
+        for present, index, smaller in ((x_present, truth, x_smaller),
+                                        (y_present, estimate, ~x_smaller)):
+            if smaller.any():
+                slots = np.where(present, cut_entry, 0.0)
+                slots[sample, index] = cost
+                lap_total[smaller] = np.cumsum(slots[smaller], axis=1)[:, -1]
+        for alpha in alphas - {2.0}:
+            totals[alpha] = lap_total + (cut_p / alpha) * np.abs(n_y - n_x)
+    return totals
+
+
+def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
+                  y_present: np.ndarray, base: str, c: float):
+    """The pairs of present targets closer than c in every sample of a
+    padded stack, as (sample, truth slot, estimate slot, distance) arrays.
+
+    Candidates are the pairs within reach of each other on the coordinate
+    along which the targets spread widest, compared over blocks of at most
+    ``_PADDED_BLOCK_CELLS`` slot pairs; an absent target sits at NaN there,
+    within reach of nothing.  Both named base distances are at least the
+    difference on one coordinate, up to rounding that the relative slack of
+    the reach covers, unless that difference is so small that its square
+    underflows, and every such pair is a candidate.  The candidates'
+    distances come from :func:`_distances`, as in :func:`_evaluate`.
+    """
+    n_s, k_x = x_present.shape
+    axis = int(np.argmax(np.ptp(np.concatenate([xs, ys], axis=1), axis=(0, 1))))
+    x_line = np.where(x_present, xs[:, :, axis], np.nan)
+    y_line = np.where(y_present, ys[:, :, axis], np.nan)
+    reach = max(c * (1.0 + 1e-9), 1e-150)
+    step = max(1, _PADDED_BLOCK_CELLS // (k_x * y_present.shape[1]))
+    parts = []
+    for lo in range(0, n_s, step):
+        gap = np.abs(x_line[lo:lo + step, :, None] - y_line[lo:lo + step, None, :])
+        sample, truth, estimate = np.nonzero(gap <= reach)
+        parts.append((sample + lo, truth, estimate))
+    sample, truth, estimate = (np.concatenate(column) for column in zip(*parts))
+    distance = _distances(xs[sample, truth] - ys[sample, estimate], base)
+    edge = distance < c
+    return sample[edge], truth[edge], estimate[edge], distance[edge]
+
+
+def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
+                     y_present: np.ndarray, base: BaseDistance, c: float, alpha: float,
+                     requests: dict[float, Sequence[str]]) -> dict:
+    """:func:`_evaluate` for each sample of a padded stack.
+
+    Sample k's truths are ``xs[k][x_present[k]]`` and its estimates
+    ``ys[k][y_present[k]]``; ``xs`` has shape (samples, K_x, D) and
+    ``x_present`` (samples, K_x), with K_x at least one, and likewise for
+    the estimates.  Returns ``{(name, p): values}`` like
+    :func:`_evaluate_many`, each value bit-identical to what
+    :func:`_evaluate` gives.
+
+    The edges of every sample are found at once, and its forced pairs
+    taken as they are.  What remains of a sample is the union of its other
+    components, solved by :func:`_enumerated_gamma` together with the
+    samples whose remainder has the same shape.  The components are
+    disjoint and the tie rule acts on each alone, so the first cheapest
+    injection of the union is the set that :func:`_evaluate` takes
+    component by component.  A sample whose remainder is beyond the
+    enumeration limits or whose optimum is unclear goes through
+    :func:`_evaluate`, and so does every sample of a stack with a callable
+    base distance, more than ``_PADDED_BLOCK_CELLS`` slot pairs or a cost
+    entry beyond the float range.
+    """
+    n_s, k_x = x_present.shape
+    k_y = y_present.shape[1]
+    c = float(c)
+
+    def exact(k: int) -> dict:
+        return _evaluate(xs[k][x_present[k]], ys[k][y_present[k]], base, c, alpha, requests)
+
+    try:
+        # c**p as _totals takes it, and the cost entry as _detected_pairs does
+        cuts = {p: (c ** p, float((np.full(1, c) ** p)[0])) for p in requests}
+    except OverflowError:
+        cuts = None
+    if (callable(base) or k_x * k_y > _PADDED_BLOCK_CELLS or cuts is None
+            or not all(math.isfinite(entry) for _, entry in cuts.values())):
+        evaluated = [exact(k) for k in range(n_s)]
+        return {(name, p): [values[name, p] for values in evaluated]
+                for p, names in requests.items() for name in names}
+    sample, truth, estimate, distance = _padded_edges(xs, x_present, ys, y_present, base, c)
+    row_key, col_key = sample * k_x + truth, sample * k_y + estimate
+    forced = ((np.bincount(row_key, minlength=n_s * k_x)[row_key] == 1)
+              & (np.bincount(col_key, minlength=n_s * k_y)[col_key] == 1))
+    free = ~forced
+    # each sample's remainder: the truths and estimates of its unforced
+    # edges, numbered from 0 within the sample in index order
+    rest_rows, local_row = np.unique(row_key[free], return_inverse=True)
+    rest_cols, local_col = np.unique(col_key[free], return_inverse=True)
+    n_rows = np.bincount(rest_rows // k_x, minlength=n_s)
+    n_cols = np.bincount(rest_cols // k_y, minlength=n_s)
+    row_start, col_start = np.cumsum(n_rows) - n_rows, np.cumsum(n_cols) - n_cols
+    free_sample, free_distance = sample[free], distance[free]
+    local_row = local_row - row_start[free_sample]
+    local_col = local_col - col_start[free_sample]
+    fits = (n_rows > 0) & _enumerable(n_rows, n_cols)
+    unsure = (n_rows > 0) & ~fits
+    shapes = n_rows * (k_y + 1) + n_cols
+    groups = []
+    for shape in np.unique(shapes[fits]).tolist():
+        members = np.flatnonzero(fits & (shapes == shape))
+        n_r, n_c = divmod(shape, k_y + 1)
+        position = np.full(n_s, -1)
+        position[members] = np.arange(len(members))
+        mine = position[free_sample] >= 0
+        # pairs that are no edge stay at +inf, out of reach
+        block = np.full((len(members), n_r, n_c), np.inf)
+        block[position[free_sample[mine]], local_row[mine], local_col[mine]] = free_distance[mine]
+        truths = rest_rows[row_start[members, None] + np.arange(n_r)] - k_x * members[:, None]
+        estimates = rest_cols[col_start[members, None] + np.arange(n_c)] - k_y * members[:, None]
+        groups.append((members, block, truths, estimates))
+    n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
+    n_max = np.maximum(n_x, n_y).tolist()
+    values = {}
+    for p, names in requests.items():
+        cut_p, cut_entry = cuts[p]
+        pairs = [(sample[forced], truth[forced], estimate[forced], distance[forced] ** p)]
+        for members, block, truths, estimates in groups:
+            chosen, pair_costs, unclear = _enumerated_gamma(block, c, p, cut_entry)
+            unsure[members[unclear]] = True
+            g, r = np.nonzero(chosen < block.shape[2])
+            pairs.append((members[g], truths[g, r], estimates[g, chosen[g, r]], pair_costs[g, r]))
+        totals = _padded_totals([np.concatenate(column) for column in zip(*pairs)],
+                                x_present, y_present, n_x, n_y, cut_entry, cut_p,
+                                {alpha if name == "gospa" else 1.0 for name in names})
+        for name in names:
+            total_p = totals[alpha if name == "gospa" else 1.0].tolist()
+            if name == "ospa":
+                values[name, p] = [(t / n) ** (1.0 / p) if n else 0.0
+                                   for t, n in zip(total_p, n_max)]
+            else:
+                values[name, p] = [t ** (1.0 / p) for t in total_p]
+    for k in np.flatnonzero(unsure).tolist():
+        for key, value in exact(k).items():
+            if key in values:
+                values[key][k] = value
     return values
 
 

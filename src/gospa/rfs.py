@@ -45,7 +45,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .metrics import GospaParams, _evaluate_many, _is_finite, as_state_array
+from .metrics import (GospaParams, _enumerable, _evaluate_many, _evaluate_padded, _is_finite,
+                      as_state_array)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -340,15 +341,17 @@ def _run_blocks(total: int, workers: int, task: Callable[[int, int], None]) -> N
 
 def _estimate_from_powers(powers: np.ndarray, p_prime: float) -> MetricEstimate:
     n = len(powers)
-    mean_power = float(np.mean(powers))
+    # scaled by a power of two, which is exact, so that neither the sum nor
+    # a square overflows; the standard error is divided by the mean before
+    # the product with the value, and the scale cancels in that quotient
+    exponent = math.frexp(float(powers.max()))[1]
+    scaled = np.ldexp(powers, -exponent)
+    mean_scaled = float(np.mean(scaled))
+    mean_power = math.ldexp(mean_scaled, exponent)
     value = mean_power ** (1.0 / p_prime)
     if n > 1 and mean_power > 0.0:
-        # scaled by a power of two, which is exact, so that no square
-        # overflows; divided by the mean before the product with the value
-        exponent = math.frexp(float(powers.max()))[1]
-        spread = float(np.std(np.ldexp(powers, -exponent), ddof=1))
-        se_mean = math.ldexp(spread, exponent) / math.sqrt(n)
-        standard_error = se_mean / (p_prime * mean_power) * value
+        se_scaled = float(np.std(scaled, ddof=1)) / math.sqrt(n)
+        standard_error = se_scaled / (p_prime * mean_scaled) * value
     else:
         standard_error = 0.0
     return MetricEstimate(value=value, standard_error=standard_error, samples=n)
@@ -361,32 +364,43 @@ def _chunk_size(sampler: PairSampler) -> int:
     return _CHUNK_SAMPLES
 
 
-def _pair_groups(sampler: PairSampler, keys: np.ndarray):
-    """The pairs of a chunk of sample keys, grouped by shape.
+def _chunk_values(sampler: PairSampler, keys: np.ndarray, base, c: float, alpha: float,
+                  requests: dict):
+    """The values of a chunk of sample keys, in groups.
 
-    Yields ``(positions, xs, ys)``: the positions in ``keys`` of a group's
-    samples, their truths stacked as (samples, n_x, D) and their estimates
-    as (samples, n_y, D).  An :class:`IndependentPairSampler` draws the
-    whole chunk at once; any other sampler is called once per key.
+    Yields ``(positions, values)``: the positions in ``keys`` of a group's
+    samples and their ``{(name, p): values}``.  An
+    :class:`IndependentPairSampler` draws the whole chunk at once; its
+    samples within the enumeration limits are grouped by shape and solved
+    by ``metrics._evaluate_many``, and the others are solved together on
+    their padded draw by ``metrics._evaluate_padded``.  Any other sampler
+    is called once per key and its samples grouped by shape.
     """
     if isinstance(sampler, IndependentPairSampler):
         (xs, x_present), (ys, y_present) = sampler._draw(keys)
         n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
-        shapes, groups = np.unique(n_x * (y_present.shape[1] + 1) + n_y, return_inverse=True)
-        for group in range(len(shapes)):
-            positions = np.flatnonzero(groups == group)
+        small = _enumerable(n_x, n_y)
+        padded = np.flatnonzero(~small)
+        if len(padded):
+            yield padded, _evaluate_padded(xs[padded], x_present[padded], ys[padded],
+                                           y_present[padded], base, c, alpha, requests)
+        shapes = n_x * (y_present.shape[1] + 1) + n_y
+        for shape in np.unique(shapes[small]).tolist():
+            positions = np.flatnonzero(small & (shapes == shape))
             size = len(positions)
-            yield (positions,
-                   xs[positions][x_present[positions]].reshape(size, -1, xs.shape[2]),
-                   ys[positions][y_present[positions]].reshape(size, -1, ys.shape[2]))
+            yield positions, _evaluate_many(
+                xs[positions][x_present[positions]].reshape(size, -1, xs.shape[2]),
+                ys[positions][y_present[positions]].reshape(size, -1, ys.shape[2]),
+                base, c, alpha, requests)
         return
     pairs = [sampler.sample_pair(key) for key in keys.tolist()]
     by_shape: dict[tuple, list[int]] = {}
     for k, (x, y) in enumerate(pairs):
         by_shape.setdefault((np.shape(x), np.shape(y)), []).append(k)
     for positions in by_shape.values():
-        yield (np.array(positions), np.stack([pairs[k][0] for k in positions]),
-               np.stack([pairs[k][1] for k in positions]))
+        yield np.array(positions), _evaluate_many(
+            np.stack([pairs[k][0] for k in positions]),
+            np.stack([pairs[k][1] for k in positions]), base, c, alpha, requests)
 
 
 def _outer_powers(values: list[float], p_prime: float) -> list[float]:
@@ -402,11 +416,10 @@ def _estimate_cells(sampler: PairSampler, params: GospaParams, cells, samples: i
     """Estimate every cell ``(metric, p, p')`` from one draw per sample.
 
     Sample k uses the seed ``derive_sample_seed(master_seed, k)`` for all
-    cells.  The samples are drawn in chunks, and each chunk's samples of
-    one shape are evaluated together by ``metrics._evaluate_many``, whose
-    values are those of the scalar kernel.  The per-sample values are
-    reduced in index order, so the results depend on neither ``workers``
-    nor the chunk boundaries.
+    cells.  The samples are drawn in chunks and each chunk is evaluated in
+    groups by :func:`_chunk_values`, whose values are those of the scalar
+    kernel.  The per-sample values are reduced in index order, so the
+    results depend on neither ``workers`` nor the chunk boundaries.
     """
     requests: dict[float, list[str]] = {}
     for metric, p, _ in cells:
@@ -423,8 +436,7 @@ def _estimate_cells(sampler: PairSampler, params: GospaParams, cells, samples: i
     def block(lo: int, hi: int) -> None:
         for start in range(lo, hi, chunk):
             keys = _sample_keys(master_seed, start, min(start + chunk, hi))
-            for positions, xs, ys in _pair_groups(sampler, keys):
-                values = _evaluate_many(xs, ys, base, c, alpha, requests)
+            for positions, values in _chunk_values(sampler, keys, base, c, alpha, requests):
                 for row, (metric, p, p_prime) in zip(powers, cells):
                     row[start + positions] = _outer_powers(values[metric, p], p_prime)
 

@@ -130,23 +130,6 @@ def gospa_permutation_form(x, y, params: GospaParams) -> float:
     return total_p ** (1.0 / params.p)
 
 
-def ospa(x, y, c: float, p: float = 1.0, base_distance: BaseDistance = "euclidean") -> float:
-    """OSPA distance: unnormalized OSPA scaled by the larger cardinality.
-
-    Equals ``(gospa(alpha=1) ** p / max(|X|, |Y|)) ** (1/p)``; both sets
-    empty gives 0 and exactly one empty set gives c.
-    """
-    params = GospaParams(c=c, alpha=1.0, p=p, base_distance=base_distance)
-    xs = as_state_array(x)
-    ys = as_state_array(y)
-    _require_same_dimension(xs, ys)
-    n_max = max(len(xs), len(ys))
-    if n_max == 0:
-        return 0.0
-    total_p = _evaluate(xs, ys, params.base_distance, params.c, 1.0, params.p)[0]
-    return (total_p / n_max) ** (1.0 / params.p)
-
-
 def unnormalized_ospa_closed_form(n_false: int, n_missed: int, d1: float, d2: float,
                                   c: float, p: float) -> float:
     """Closed-form unnormalized OSPA for a two-target scenario.

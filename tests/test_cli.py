@@ -327,6 +327,59 @@ class TestMean:
         assert "components" in err
 
 
+def clustered_model_documents(seed, components):
+    """Truth and estimate models with every estimate component a perturbed
+    copy of one truth component, so close pairs and small clusters abound."""
+    rng = np.random.default_rng([seed, 1])
+    means = rng.uniform(0.0, 1000.0, (components, 2))
+    offsets = rng.normal(0.0, 2.0, (components, 2))
+
+    def document(centres, low, high):
+        existence = rng.uniform(low, high, components)
+        return {"components": [
+            {"existence": float(e), "mean": [float(v) for v in m],
+             "covariance": [[1.0, 0.0], [0.0, 1.0]]}
+            for e, m in zip(existence, centres)]}
+
+    return document(means, 0.78, 0.92), document(means + offsets, 0.80, 0.94)
+
+
+def _mean_json(metric, alpha, p_prime, value, standard_error):
+    return json.dumps({
+        "command": "mean", "metric": metric,
+        "config": {"c": 10.0, "alpha": alpha, "p": 2.0, "p_prime": p_prime,
+                   "samples": 1000, "seed": 3},
+        "value": value, "standard_error": standard_error, "samples": 1000}, indent=2) + "\n"
+
+
+CLUSTERED_MEAN_GOLDEN = {
+    ("--format", "text"): _lines(
+        "metric: gospa",
+        "c: 10   alpha: 2   p: 2   p': 2",
+        "samples: 1000   seed: 3",
+        "value: 33.014625174878574",
+        "standard error: 0.060120609511973629"),
+    ("--format", "json", "--alpha", "1", "--base-distance", "manhattan"):
+        _mean_json("gospa", 1.0, 2.0, 39.67604598959685, 0.0762192139214106),
+    ("--format", "json", "--metric", "ospa", "--p-prime", "1"):
+        _mean_json("ospa", 2.0, 1.0, 5.269533413079461, 0.013123884823314768),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("options", sorted(CLUSTERED_MEAN_GOLDEN))
+def test_mean_exact_stdout_on_clustered_models(capsys, tmp_path, options, workers):
+    truth_doc, estimate_doc = clustered_model_documents(3, 50)
+    truth, estimate = tmp_path / "truth.json", tmp_path / "estimate.json"
+    truth.write_text(json.dumps(truth_doc))
+    estimate.write_text(json.dumps(estimate_doc))
+    code, out, _ = run_cli(capsys, "mean", str(truth), str(estimate), "--c", "10", "--p", "2",
+                           "--samples", "1000", "--seed", "3", "--precision", "17",
+                           "--workers", workers, *options)
+    assert code == 0
+    assert out == CLUSTERED_MEAN_GOLDEN[options]
+
+
 @pytest.fixture
 def remote_models(tmp_path):
     """A sure truth at the origin and a likely-absent estimate 1e200 away."""
@@ -356,6 +409,18 @@ def test_standard_error_of_huge_values_is_finite(remote_models):
     lines = dict(line.split(": ", 1) for line in done.stdout.splitlines()[2:])
     assert 1e149 < float(lines["value"]) < 1e150
     assert 0.0 < float(lines["standard error"]) < 1e150
+
+
+def test_mean_of_powers_whose_sum_overflows_is_finite(remote_models):
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gospa", "mean", *remote_models,
+         "--c", "1.2e154", "--p", "2", "--samples", "50"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    lines = dict(line.split(": ", 1) for line in done.stdout.splitlines()[2:])
+    assert 1.2e154 / np.sqrt(2.0) < float(lines["value"]) < 1.2e154
+    assert 0.0 < float(lines["standard error"]) < float(lines["value"])
 
 
 @pytest.mark.parametrize("command", ["table1", "mean"])

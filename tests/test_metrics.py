@@ -592,6 +592,17 @@ def test_a_callable_base_distance_never_takes_the_sweep(monkeypatch):
 ALL_NAMES = ("gospa", "uospa", "ospa")
 
 
+def assert_padded_matches_evaluate(xs, x_present, ys, y_present, base, c, alpha, requests):
+    """``_evaluate_padded`` gives, bit for bit, what ``_evaluate`` gives on
+    each sample's present points."""
+    expected = [metrics._evaluate(x[xp], y[yp], base, c, alpha, requests)
+                for x, xp, y, yp in zip(xs, x_present, ys, y_present)]
+    got = metrics._evaluate_padded(xs, x_present, ys, y_present, base, c, alpha, requests)
+    assert set(got) == {(name, p) for p, names in requests.items() for name in names}
+    for key, values in got.items():
+        assert np.array(values).tobytes() == np.array([e[key] for e in expected]).tobytes(), key
+
+
 def assert_matches_evaluate(xs, ys, base, c, alpha, requests):
     """``_evaluate_many`` gives, bit for bit, what ``_evaluate`` gives per sample."""
     expected = [metrics._evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
@@ -603,7 +614,7 @@ def assert_matches_evaluate(xs, ys, base, c, alpha, requests):
 
 @st.composite
 def sample_stacks(draw):
-    n_s, n_x = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    n_s, n_x = draw(st.integers(1, 4)), draw(st.integers(0, 4))
     n_y, dim = draw(st.integers(0, 12)), draw(st.integers(1, 3))
     elements = st.floats(-12.0, 12.0, allow_nan=False)
     return (draw(arrays(np.float64, (n_s, n_x, dim), elements=elements)),
@@ -620,7 +631,7 @@ def test_many_samples_match_evaluate_bitwise(stack, base, c, alpha, exponents, n
 
 
 @pytest.mark.parametrize("n_x, n_y, dim", [(1, 6, 1), (2, 12, 2), (3, 9, 3), (3, 2, 2),
-                                           (2, 0, 2), (0, 5, 1), (0, 0, 2)])
+                                           (4, 4, 2), (2, 0, 2), (0, 5, 1), (0, 0, 2)])
 @pytest.mark.parametrize("base", ["euclidean", "manhattan"])
 def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base):
     rng = np.random.default_rng(10 * n_x + n_y)
@@ -640,17 +651,24 @@ def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base
             assert values == [e[key] for e in expected]
 
 
-@pytest.mark.parametrize("n_x, n_y, base", [(4, 2, "euclidean"), (3, 10, "euclidean"),
+@pytest.mark.parametrize("n_x, n_y, base", [(5, 2, "euclidean"), (3, 10, "euclidean"),
                                             (2, 3, manhattan)])
 def test_other_stacks_take_the_scalar_kernel(monkeypatch, n_x, n_y, base):
+    # every truth within c of every estimate, so no pair is forced and each
+    # sample's remainder is the whole sample: beyond the enumeration limits
+    # for the named base, and never enumerated for a callable one
     rng = np.random.default_rng(3)
-    xs, ys = rng.normal(size=(5, n_x, 2)), rng.normal(size=(5, n_y, 2))
+    xs, ys = rng.normal(scale=0.1, size=(5, n_x, 2)), rng.normal(scale=0.1, size=(5, n_y, 2))
     calls = []
     evaluate = metrics._evaluate
     monkeypatch.setattr(metrics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
     monkeypatch.setattr(metrics, "_enumerated_gamma", None)
     assert_matches_evaluate(xs, ys, base, 1.0, 2.0, {2.0: ALL_NAMES})
     assert len(calls) == 2 * len(xs)  # the reference in the helper, then the stack
+    present = (np.ones(xs.shape[:2], dtype=bool), np.ones(ys.shape[:2], dtype=bool))
+    assert_padded_matches_evaluate(xs, present[0], ys, present[1], base, 1.0, 2.0,
+                                   {2.0: ALL_NAMES})
+    assert len(calls) == 4 * len(xs)
 
 
 def lattice_stacks():
@@ -689,3 +707,106 @@ def test_a_cost_entry_beyond_the_float_range_is_a_value_error():
             metrics._evaluate_many(*stack, "euclidean", 1e200, 2.0, {2.0: ALL_NAMES})
     assert metrics._evaluate_many(xs[:, :0], ys[:, :0], "euclidean", 1e200, 2.0,
                                   {2.0: ALL_NAMES})["ospa", 2.0] == [0.0, 0.0]
+
+
+# --- padded stacks -------------------------------------------------------------
+
+def clustered_stack(rng, n_s, k_x, k_y, dim, clusters, spread, share_present):
+    """A padded stack whose targets gather around ``clusters`` centres per
+    sample, so that forced pairs, 2 x 2 clusters and several separate
+    clusters in one sample all occur; ``share_present`` of the slots are
+    present, and a share of 0 gives empty sets."""
+    centres = rng.uniform(-30.0, 30.0, (n_s, clusters, dim))
+    rows = np.arange(n_s)[:, None]
+    xs = centres[rows, rng.integers(0, clusters, (n_s, k_x))] \
+        + rng.normal(scale=spread, size=(n_s, k_x, dim))
+    ys = centres[rows, rng.integers(0, clusters, (n_s, k_y))] \
+        + rng.normal(scale=spread, size=(n_s, k_y, dim))
+    return (xs, rng.random((n_s, k_x)) < share_present,
+            ys, rng.random((n_s, k_y)) < share_present)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 9), st.integers(1, 9),
+       st.integers(1, 3), st.integers(1, 12), st.sampled_from([0.05, 0.5, 2.0]),
+       st.sampled_from([0.0, 0.5, 0.85, 1.0]), st.sampled_from(["euclidean", "manhattan"]),
+       st.floats(0.5, 6.0), st.sampled_from([2.0, 1.5, 1.0]),
+       st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=1, max_size=2, unique=True),
+       st.lists(st.sampled_from(ALL_NAMES), min_size=1, max_size=3, unique=True))
+def test_padded_samples_match_evaluate_bitwise(seed, n_s, k_x, k_y, dim, clusters, spread,
+                                               share_present, base, c, alpha, exponents, names):
+    stack = clustered_stack(np.random.default_rng(seed), n_s, k_x, k_y, dim, clusters, spread,
+                            share_present)
+    assert_padded_matches_evaluate(*stack, base, c, alpha, {p: tuple(names) for p in exponents})
+
+
+@pytest.mark.parametrize("base", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_padded_general_position_needs_no_scalar_solve(monkeypatch, base, dim):
+    # ten sites 20 apart along one axis, far beyond c; truth slots 0-7 have
+    # a site each and slots 8-11 share the last two in twos, and every
+    # estimate slot is a perturbed copy of its truth slot: lone pairs and up
+    # to two 2 x 2 clusters, far from ties and within the enumeration limits
+    rng = np.random.default_rng(dim)
+    sites = 20.0 * np.outer(np.arange(10), np.eye(dim)[0])
+    xs = sites[[0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 9, 9]] + rng.normal(scale=0.7, size=(60, 12, dim))
+    ys = xs + rng.normal(scale=0.3, size=xs.shape)
+    x_present, y_present = rng.random((60, 12)) < 0.85, rng.random((60, 12)) < 0.85
+    requests = {2.0: ALL_NAMES, 3.5: ALL_NAMES}
+    c = 2.5
+    for alpha in (2.0, 0.5):
+        expected = [metrics._evaluate(x[xp], y[yp], base, c, alpha, requests)
+                    for x, xp, y, yp in zip(xs, x_present, ys, y_present)]
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_evaluate", None)  # any scalar solve would fail
+            got = metrics._evaluate_padded(xs, x_present, ys, y_present, base, c, alpha,
+                                           requests)
+        for key, values in got.items():
+            assert values == [e[key] for e in expected]
+
+
+def test_padded_stack_beyond_the_block_size_is_solved_per_sample(monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = clustered_stack(rng, 4, 6, 7, 2, 3, 0.5, 0.8)
+    calls = []
+    evaluate = metrics._evaluate
+    monkeypatch.setattr(metrics, "_PADDED_BLOCK_CELLS", 41)
+    monkeypatch.setattr(metrics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    assert_padded_matches_evaluate(*stack, "euclidean", 2.0, 1.0, {1.0: ALL_NAMES})
+    assert len(calls) == 2 * 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 5), st.sampled_from([1.0, 2.0]))
+def test_padded_lattice_ties_reach_the_scalar_kernel(seed, n_s, k_x, k_y, c, p):
+    # integer coordinates, Manhattan distances and an integer cut-off keep
+    # every cost exact, so ties are real ties, and each must be solved by
+    # _evaluate; the tie rule then makes every value bit-identical
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 5, (n_s, k_x, 2)).astype(float)
+    ys = rng.integers(0, 5, (n_s, k_y, 2)).astype(float)
+    x_present, y_present = rng.random((n_s, k_x)) < 0.7, rng.random((n_s, k_y)) < 0.7
+    c = float(c)
+    solved = []
+    evaluate = metrics._evaluate
+
+    def recording(x, y, *args):
+        solved.append((x.tobytes(), y.tobytes()))
+        return evaluate(x, y, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_evaluate", recording)
+        for alpha in (2.0, 1.0):
+            assert_padded_matches_evaluate(xs, x_present, ys, y_present, "manhattan", c, alpha,
+                                           {p: ALL_NAMES})
+    for x, xp, y, yp in zip(xs, x_present, ys, y_present):
+        x, y = x[xp], y[yp]
+        costs = sorted(
+            sum(manhattan(x[i], y[j]) ** p - c ** p for i, j in pairs)
+            for pairs in iter_assignment_sets(len(x), len(y))
+            if all(manhattan(x[i], y[j]) < c for i, j in pairs))
+        if len(costs) > 1 and costs[0] == costs[1]:
+            # once for the reference and at least once inside the kernel
+            assert solved.count((x.tobytes(), y.tobytes())) >= 4
+

@@ -465,6 +465,33 @@ class TestEstimateMetric:
                   for k in range(cfg.samples)]
         assert results[0].value == np.mean(powers) ** (1.0 / 1.5)
 
+    @pytest.mark.parametrize("chunk", [1, 54, 256])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_padded_chunks_match_a_plain_loop(self, monkeypatch, chunk, workers):
+        # ten truths, each with a perturbed copy among the estimates and
+        # some near a neighbour, so most samples are solved on their padded
+        # draw, with forced pairs and small clusters
+        rng = np.random.default_rng(21)
+        means = rng.uniform(0.0, 40.0, (10, 2))
+        truth = MultiBernoulli(tuple(BernoulliComponent(0.8, m, 0.5 * np.eye(2)) for m in means))
+        estimate = MultiBernoulli(tuple(
+            BernoulliComponent(0.85, m, 0.5 * np.eye(2))
+            for m in means + rng.normal(0.0, 1.5, means.shape)))
+        sampler = IndependentPairSampler(truth, estimate)
+        assert rfs._chunk_size(sampler) >= 256
+        monkeypatch.setattr(rfs, "_CHUNK_SAMPLES", chunk)
+        params = GospaParams(c=4.0, alpha=1.5, p=2.0)
+        cfg = EstimatorConfig(p_prime=1.5, samples=300, master_seed=17)
+        pairs = [sampler.sample_pair(derive_sample_seed(17, k)) for k in range(cfg.samples)]
+        assert sum(not rfs._enumerable(len(x), len(y)) for x, y in pairs) > 250
+        for variant in ("gospa", "ospa"):
+            result = estimate_metric(sampler, params, cfg, variant=variant, workers=workers)
+            if variant == "ospa":
+                values = [ospa(x, y, c=4.0, p=2.0) for x, y in pairs]
+            else:
+                values = [gospa(x, y, params).total for x, y in pairs]
+            assert result.value == np.mean([v ** 1.5 for v in values]) ** (1.0 / 1.5)
+
     def test_chunks_of_large_models_stay_within_the_word_budget(self):
         large = _point_model(np.zeros((60, 3)))  # 60 + 2 * 90 words a draw
         assert rfs._chunk_size(IndependentPairSampler(large, large)) == rfs._CHUNK_WORDS // 480
@@ -553,6 +580,18 @@ def test_standard_error_of_huge_values_is_finite_without_warnings():
         warnings.simplefilter("error")
         result = estimate_metric(sampler, GospaParams(c=1e150, p=2.0), cfg)
     assert 1e149 < result.value < 1e150
+    assert 0.0 < result.standard_error < result.value
+
+
+def test_mean_of_powers_whose_sum_overflows_is_finite_without_warnings():
+    # every power is finite, near the largest float, but their sum is not
+    sampler = IndependentPairSampler(*REMOTE_PAIR)
+    cfg = EstimatorConfig(p_prime=2.0, samples=50)
+    c = 1.2e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = estimate_metric(sampler, GospaParams(c=c, p=2.0), cfg)
+    assert c / math.sqrt(2.0) < result.value < c
     assert 0.0 < result.standard_error < result.value
 
 
