@@ -29,7 +29,11 @@ estimate the words after them.
 
 Every word is a function of the key and its index alone, so a whole chunk
 of samples is drawn with a few array operations, and a sample drawn alone
-is bit-identical to the same sample drawn in a chunk.  Layout v3 replaced
+is bit-identical to the same sample drawn in a chunk.  Pair samplers whose
+models differ only in existence probabilities, such as the twelve Table 1
+scenarios, draw the same points and existence uniforms, so
+:func:`run_table1` draws each chunk once for all of them and compares the
+uniforms with each scenario's own probabilities.  Layout v3 replaced
 v2, which drew from a ``PCG64`` generator per sample, so every seeded
 estimate changed within Monte Carlo error.
 """
@@ -41,7 +45,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -160,7 +164,9 @@ class BernoulliComponent:
                 from None
         if cov.shape != (mean.size, mean.size) or not np.all(np.isfinite(cov)):
             raise ValueError("covariance must be a finite square matrix matching the mean")
-        if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
+        # np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12) written out, which
+        # costs half as much; the two agree on finite matrices
+        if not (np.abs(cov - cov.T) <= 1e-12 + 1e-9 * np.abs(cov.T)).all():
             raise ValueError("covariance must be symmetric")
         cov = (cov + cov.T) / 2.0
         object.__setattr__(self, "existence", existence)
@@ -211,12 +217,14 @@ class MultiBernoulli:
     def _draw(self, keys: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw layout v3, stated in the module docstring, from words
         ``start`` onward of each key's stream.  Returns every component's
-        point as (len(keys), K, D) and which exist as (len(keys), K)."""
+        point as (len(keys), K, D) and the existence uniforms as
+        (len(keys), K); component k exists where its uniform is below its
+        existence probability, which the caller compares, so that models
+        differing only in existence probabilities can share one draw."""
         n_components, dimension = self._means.shape
         n_normals = n_components * dimension
         words = _stream_words(keys, start, self._word_count)
         uniforms = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        present = uniforms[:, :n_components] < self._existence
         radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:, n_components::2]))
         angle = (2.0 * math.pi) * uniforms[:, n_components + 1::2]
         normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2)
@@ -228,13 +236,19 @@ class MultiBernoulli:
         noise = trils[:, :, 0] * normals[:, :, None, 0]
         for j in range(1, dimension):
             noise = noise + trils[:, :, j] * normals[:, :, None, j]
-        return self._means + noise, present
+        return self._means + noise, uniforms[:, :n_components]
+
+    def _draws_like(self, other: MultiBernoulli) -> bool:
+        """Whether both models draw the same points from every stream, which
+        holds when they differ at most in existence probabilities."""
+        return (np.array_equal(self._means, other._means)
+                and np.array_equal(self._scale_trils, other._scale_trils))
 
 
 def sample_multi_bernoulli(model: MultiBernoulli, seed: int) -> np.ndarray:
     """Draw one realization of the model, fully determined by the seed."""
-    points, present = model._draw(np.array([_validated_seed(seed)], dtype=np.uint64), 0)
-    return points[0][present[0]]
+    points, uniforms = model._draw(np.array([_validated_seed(seed)], dtype=np.uint64), 0)
+    return points[0][uniforms[0] < model._existence]
 
 
 class PairSampler(Protocol):
@@ -258,6 +272,13 @@ class IndependentPairSampler:
         return xs[0][x_present[0]], ys[0][y_present[0]]
 
     def _draw(self, keys: np.ndarray):
+        """``(xs, x_present), (ys, y_present)``: each model's points, as
+        ``MultiBernoulli._draw`` returns them, and which exist."""
+        (xs, x_uniforms), (ys, y_uniforms) = self._raw_draw(keys)
+        return ((xs, x_uniforms < self.truth._existence),
+                (ys, y_uniforms < self.estimate._existence))
+
+    def _raw_draw(self, keys: np.ndarray):
         """The truth from the first words of each key's stream, then the
         estimate from the words after them, as ``MultiBernoulli._draw``
         returns them."""
@@ -364,43 +385,59 @@ def _chunk_size(sampler: PairSampler) -> int:
     return _CHUNK_SAMPLES
 
 
-def _chunk_values(sampler: PairSampler, keys: np.ndarray, base, c: float, alpha: float,
-                  requests: dict):
-    """The values of a chunk of sample keys, in groups.
+def _chunk_values(samplers: Sequence[PairSampler], keys: np.ndarray, base, c: float,
+                  alpha: float, requests: dict):
+    """The values of a chunk of sample keys for each sampler, in groups.
 
-    Yields ``(positions, values)``: the positions in ``keys`` of a group's
-    samples and their ``{(name, p): values}``.  An
-    :class:`IndependentPairSampler` draws the whole chunk at once; its
-    samples within the enumeration limits are grouped by shape and solved
-    by ``metrics._evaluate_many``, and the others are solved together on
-    their padded draw by ``metrics._evaluate_padded``.  Any other sampler
-    is called once per key and its samples grouped by shape.
+    Yields ``(index, positions, values)``: the index in ``samplers`` of the
+    sampler, the positions in ``keys`` of a group's samples and their
+    ``{(name, p): values}``.  Pair samplers of independent models that
+    differ only in existence probabilities draw the whole chunk once and
+    each compares the existence uniforms with its own probabilities; each
+    one's samples then go through :func:`_masked_values`.  Any other
+    sampler comes alone, is called once per key and has its samples grouped
+    by shape.
     """
-    if isinstance(sampler, IndependentPairSampler):
-        (xs, x_present), (ys, y_present) = sampler._draw(keys)
-        n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
-        small = _enumerable(n_x, n_y)
-        padded = np.flatnonzero(~small)
-        if len(padded):
-            yield padded, _evaluate_padded(xs[padded], x_present[padded], ys[padded],
-                                           y_present[padded], base, c, alpha, requests)
-        shapes = n_x * (y_present.shape[1] + 1) + n_y
-        for shape in np.unique(shapes[small]).tolist():
-            positions = np.flatnonzero(small & (shapes == shape))
-            size = len(positions)
-            yield positions, _evaluate_many(
-                xs[positions][x_present[positions]].reshape(size, -1, xs.shape[2]),
-                ys[positions][y_present[positions]].reshape(size, -1, ys.shape[2]),
-                base, c, alpha, requests)
+    first = samplers[0]
+    if isinstance(first, IndependentPairSampler):
+        (xs, x_uniforms), (ys, y_uniforms) = first._raw_draw(keys)
+        for index, sampler in enumerate(samplers):
+            for positions, values in _masked_values(
+                    xs, x_uniforms < sampler.truth._existence,
+                    ys, y_uniforms < sampler.estimate._existence, base, c, alpha, requests):
+                yield index, positions, values
         return
-    pairs = [sampler.sample_pair(key) for key in keys.tolist()]
+    pairs = [first.sample_pair(key) for key in keys.tolist()]
     by_shape: dict[tuple, list[int]] = {}
     for k, (x, y) in enumerate(pairs):
         by_shape.setdefault((np.shape(x), np.shape(y)), []).append(k)
     for positions in by_shape.values():
-        yield np.array(positions), _evaluate_many(
+        yield 0, np.array(positions), _evaluate_many(
             np.stack([pairs[k][0] for k in positions]),
             np.stack([pairs[k][1] for k in positions]), base, c, alpha, requests)
+
+
+def _masked_values(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
+                   y_present: np.ndarray, base, c: float, alpha: float, requests: dict):
+    """The values of a padded draw, in groups, as :func:`_chunk_values`
+    yields them without the index.  The samples within the enumeration
+    limits are grouped by shape and solved by ``metrics._evaluate_many``,
+    and the others are solved together on their padded draw by
+    ``metrics._evaluate_padded``."""
+    n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
+    small = _enumerable(n_x, n_y)
+    padded = np.flatnonzero(~small)
+    if len(padded):
+        yield padded, _evaluate_padded(xs[padded], x_present[padded], ys[padded],
+                                       y_present[padded], base, c, alpha, requests)
+    shapes = n_x * (y_present.shape[1] + 1) + n_y
+    for shape in np.unique(shapes[small]).tolist():
+        positions = np.flatnonzero(small & (shapes == shape))
+        size = len(positions)
+        yield positions, _evaluate_many(
+            xs[positions][x_present[positions]].reshape(size, -1, xs.shape[2]),
+            ys[positions][y_present[positions]].reshape(size, -1, ys.shape[2]),
+            base, c, alpha, requests)
 
 
 def _outer_powers(values: list[float], p_prime: float) -> list[float]:
@@ -411,37 +448,51 @@ def _outer_powers(values: list[float], p_prime: float) -> list[float]:
                          "a float") from None
 
 
-def _estimate_cells(sampler: PairSampler, params: GospaParams, cells, samples: int,
-                    master_seed: int, workers: int) -> list[MetricEstimate]:
-    """Estimate every cell ``(metric, p, p')`` from one draw per sample.
+def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells, samples: int,
+                    master_seed: int, workers: int) -> list[list[MetricEstimate]]:
+    """Estimate every cell ``(metric, p, p')`` of every sampler from one draw
+    per sample.
 
-    Sample k uses the seed ``derive_sample_seed(master_seed, k)`` for all
-    cells.  The samples are drawn in chunks and each chunk is evaluated in
-    groups by :func:`_chunk_values`, whose values are those of the scalar
-    kernel.  The per-sample values are reduced in index order, so the
-    results depend on neither ``workers`` nor the chunk boundaries.
+    Several samplers must be :class:`IndependentPairSampler` objects whose
+    models differ only in existence probabilities, so that they share each
+    sample's draw.  Sample k uses the seed ``derive_sample_seed(master_seed,
+    k)`` for all samplers and cells.  The samples are drawn in chunks and
+    each chunk is evaluated in groups by :func:`_chunk_values`, whose values
+    are those of the scalar kernel.  The per-sample values are reduced in
+    index order, so each sampler's results are those it gets alone and
+    depend on neither ``workers`` nor the chunk boundaries.  Returns one
+    list of estimates per sampler, in the order of ``cells``.
     """
+    first = samplers[0]
+    if len(samplers) > 1 and not all(
+            isinstance(sampler, IndependentPairSampler)
+            and sampler.truth._draws_like(first.truth)
+            and sampler.estimate._draws_like(first.estimate) for sampler in samplers):
+        raise ValueError("samplers that share a draw may differ only in existence "
+                         "probabilities")
     requests: dict[float, list[str]] = {}
     for metric, p, _ in cells:
         _require_metric(metric)
         requests.setdefault(p, []).append(metric)
     base, c, alpha = params.base_distance, params.c, params.alpha
     try:
-        powers = np.empty((len(cells), samples))
+        powers = np.empty((len(samplers), len(cells), samples))
     except MemoryError:
         raise ValueError(f"not enough memory for the values of {samples} samples") from None
 
-    chunk = _chunk_size(sampler)
+    chunk = _chunk_size(first)
 
     def block(lo: int, hi: int) -> None:
         for start in range(lo, hi, chunk):
             keys = _sample_keys(master_seed, start, min(start + chunk, hi))
-            for positions, values in _chunk_values(sampler, keys, base, c, alpha, requests):
-                for row, (metric, p, p_prime) in zip(powers, cells):
+            for index, positions, values in _chunk_values(samplers, keys, base, c, alpha,
+                                                          requests):
+                for row, (metric, p, p_prime) in zip(powers[index], cells):
                     row[start + positions] = _outer_powers(values[metric, p], p_prime)
 
     _run_blocks(samples, workers, block)
-    return [_estimate_from_powers(row, p_prime) for row, (_, _, p_prime) in zip(powers, cells)]
+    return [[_estimate_from_powers(row, p_prime) for row, (_, _, p_prime) in zip(rows, cells)]
+            for rows in powers]
 
 
 def estimate_metric(sampler: PairSampler, params: GospaParams, cfg: EstimatorConfig,
@@ -453,8 +504,8 @@ def estimate_metric(sampler: PairSampler, params: GospaParams, cfg: EstimatorCon
     the per-sample values are reduced in index order, so the result does
     not depend on ``workers``.
     """
-    return _estimate_cells(sampler, params, [(variant, params.p, cfg.p_prime)],
-                           cfg.samples, cfg.master_seed, workers)[0]
+    return _estimate_cells([sampler], params, [(variant, params.p, cfg.p_prime)],
+                           cfg.samples, cfg.master_seed, workers)[0][0]
 
 
 def table1_scenario(n_missed: int, n_false: int) -> IndependentPairSampler:
@@ -520,18 +571,21 @@ def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0,
                workers: int = 1) -> Table1Result:
     """Estimate every benchmark-grid cell with p' = p in {1, 2}.
 
-    Scenario cells share per-sample seeds (common random numbers), and each
-    cell equals what :func:`estimate_metric` returns for the corresponding
+    Scenario cells share per-sample seeds (common random numbers).  The
+    twelve scenarios differ only in existence probabilities, so each chunk
+    of samples is drawn once for all of them, and each scenario compares
+    the shared existence uniforms with its own probabilities.  Each cell
+    equals what :func:`estimate_metric` returns for the corresponding
     scenario, metric and exponent, bit for bit.
     """
     cfg = EstimatorConfig(samples=samples, master_seed=master_seed)
     params = GospaParams(c=c)
     cells = [(metric, p, p) for metric in TABLE1_METRICS for p in TABLE1_EXPONENTS]
-    grid = {
-        (n_missed, n_false): _estimate_cells(table1_scenario(n_missed, n_false), params, cells,
-                                             cfg.samples, cfg.master_seed, workers)
-        for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE
-    }
+    scenarios = [(n_missed, n_false)
+                 for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE]
+    grid = dict(zip(scenarios, _estimate_cells(
+        [table1_scenario(*scenario) for scenario in scenarios], params, cells,
+        cfg.samples, cfg.master_seed, workers)))
     ordered = tuple(
         Table1Cell(metric=metric, p=p, n_missed=n_missed, n_false=n_false,
                    estimate=grid[n_missed, n_false][index])

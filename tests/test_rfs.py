@@ -43,6 +43,21 @@ class TestBernoulliComponent:
         with pytest.raises(ValueError, match="symmetric"):
             BernoulliComponent(1.0, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("off_diagonal", [0.0, 0.5, -0.5])
+    def test_symmetry_tolerance_boundary(self, off_diagonal):
+        # entries a and b are symmetric when |a - b| <= 1e-12 + 1e-9 |b|,
+        # checked both ways round, so the smaller magnitude sets the bound
+        bound = 1e-12 + 1e-9 * abs(off_diagonal)
+        for gap, accepted in ((0.99 * bound, True), (1.01 * bound, False)):
+            far = off_diagonal + math.copysign(gap, off_diagonal)
+            cov = [[1.0, far], [off_diagonal, 1.0]]
+            if accepted:
+                comp = BernoulliComponent(1.0, [0.0, 0.0], cov)
+                assert comp.covariance[0, 1] == comp.covariance[1, 0]
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    BernoulliComponent(1.0, [0.0, 0.0], cov)
+
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError, match="semidefinite"):
             BernoulliComponent(1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
@@ -669,6 +684,51 @@ class TestRunTable1:
             direct = estimate_metric(sampler, params, cfg, variant=metric)
             cell = result.estimate(metric, p, n_missed, n_false)
             assert direct == cell
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_cell_matches_estimate_metric_bitwise(self, workers):
+        # 600 samples span three chunks of 256
+        result = run_table1(samples=600, master_seed=29, workers=workers)
+        assert 600 > 2 * rfs._chunk_size(table1_scenario(0, 0))
+        for cell in result.cells:
+            sampler = table1_scenario(cell.n_missed, cell.n_false)
+            params = GospaParams(c=8.0, alpha=2.0, p=cell.p)
+            cfg = EstimatorConfig(p_prime=cell.p, samples=600, master_seed=29)
+            assert cell.estimate == estimate_metric(sampler, params, cfg, variant=cell.metric,
+                                                    workers=workers)
+
+    def test_each_chunk_is_drawn_once_for_every_scenario(self, monkeypatch):
+        draws = []
+        real_draw = MultiBernoulli._draw
+
+        def counting_draw(model, keys, start):
+            draws.append(len(keys))
+            return real_draw(model, keys, start)
+
+        monkeypatch.setattr(MultiBernoulli, "_draw", counting_draw)
+        chunk = rfs._chunk_size(table1_scenario(0, 0))
+        samples = 2 * chunk + 7
+        run_table1(samples=samples, master_seed=3)
+        # one truth and one estimate draw per chunk, shared by the scenarios
+        assert draws == [chunk, chunk, chunk, chunk, 7, 7]
+
+    def test_samplers_sharing_a_draw_must_differ_only_in_existence(self):
+        params = GospaParams(c=8.0)
+        cells = [("gospa", 1.0, 1.0)]
+        moved = table1_scenario(0, 0)
+        moved = IndependentPairSampler(moved.truth, MultiBernoulli(tuple(
+            BernoulliComponent(comp.existence, comp.mean + 1.0, comp.covariance)
+            for comp in moved.estimate.components)))
+        for other in (moved, CustomJointSampler(lambda seed: ([], []))):
+            with pytest.raises(ValueError, match="existence"):
+                rfs._estimate_cells([table1_scenario(0, 0), other], params, cells, 4, 0, 1)
+        half_truth = IndependentPairSampler(MultiBernoulli(tuple(
+            BernoulliComponent(0.5, comp.mean, comp.covariance)
+            for comp in moved.truth.components)), table1_scenario(0, 1).estimate)
+        alike = [table1_scenario(1, 3), table1_scenario(2, 10), half_truth]
+        shared = rfs._estimate_cells(alike, params, cells, 40, 6, 1)
+        assert shared == [rfs._estimate_cells([sampler], params, cells, 40, 6, 1)[0]
+                          for sampler in alike]
 
     def test_parallel_bitwise_identical(self):
         serial = run_table1(samples=48, master_seed=4)
