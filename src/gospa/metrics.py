@@ -33,15 +33,15 @@ _SWEEP_MIN_PAIRS = 4096
 # whole matrix instead.  Gathering a candidate costs about three matrix
 # entries, and a large component's distances are computed once more.
 _SWEEP_MAX_SHARE = 0.25
-# A stack of samples with at most this many truths, a named base distance
-# and at most _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x is
-# solved by enumerating every injection of the truths into the estimates;
-# so is the part of a padded sample that its forced pairs leave.
+# The part of a padded sample that its forced pairs leave is solved by
+# enumerating every injection of its truths into its estimates when it has
+# at most this many truths, a named base distance and at most
+# _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x.
 _ENUMERATION_MAX_TRUTHS = 4
 _ENUMERATION_MAX_INJECTIONS = 1024
 # A padded stack finds its edges over blocks of samples holding at most this
-# many truth-estimate slot pairs; a model pair with more slot pairs than
-# this is evaluated one sample at a time.
+# many truth-estimate slot pairs; a stack with more slot pairs per sample
+# than this is evaluated one sample at a time.
 _PADDED_BLOCK_CELLS = 16384
 # A sample whose best and second-best detected-pair sets differ in cost by
 # at most this share of c**p is solved by `_evaluate` instead, so rounding
@@ -328,43 +328,45 @@ def _component_pairs(block: np.ndarray, rows: list[int], cols: list[int],
             for r, k in solution.pairs if k < n_cols and edge[r, k]]
 
 
-def _detected_pairs(graph: Optional[_CutOffGraph], c: float, p: float):
-    """The optimal detected-pair set γ for exponent p, solved component by
-    component.
-
-    Returns ``(pairs, cut_entry)``: the pairs as (truth, estimate, cost)
-    sorted by truth, and ``c**p`` as a cost entry holds it (``None`` when a
-    set is empty and no cost entry exists).
-    """
-    if graph is None:
-        return [], None
-    # an array power, like every cost entry: for some p NumPy's array power
-    # and Python's float power differ in the last bit
-    cut_entry = float((np.full(1, c) ** p)[0])
-    if not math.isfinite(cut_entry):
+def _cut_powers(c: float, p: float) -> tuple[float, float]:
+    """``(cut_p, cut_entry)``: ``c**p`` as a Python float power, which the
+    totals take, and as a NumPy array power, which every cost entry takes;
+    for some p the two differ in the last bit.  Raises ValueError, and lets
+    no NumPy warning out, when either is beyond the float range."""
+    try:
+        cut_p = c ** p
+    except OverflowError:
+        cut_p = math.inf
+    with np.errstate(over="ignore"):
+        cut_entry = float((np.full(1, c) ** p)[0])
+    if not (math.isfinite(cut_p) and math.isfinite(cut_entry)):
         raise ValueError("cost matrix entries must be finite")
+    return cut_p, cut_entry
+
+
+def _detected_pairs(graph: Optional[_CutOffGraph], c: float, p: float, cut_entry: float):
+    """The optimal detected-pair set γ for exponent p, solved component by
+    component, as (truth, estimate, cost) triples sorted by truth.
+    ``cut_entry`` is ``c**p`` as a cost entry holds it."""
+    if graph is None:
+        return []
     costs = (graph.forced_distances ** p).tolist()
     pairs = list(zip(graph.forced_rows, graph.forced_cols, costs))  # sorted by truth
     for rows, cols, block in graph.components:
         pairs.extend(_component_pairs(block, rows, cols, c, p, cut_entry))
     if graph.components:
         pairs.sort()
-    return pairs, cut_entry
+    return pairs
 
 
-def _totals(detected, n_x: int, n_y: int, c: float, alpha: float, p: float):
-    """Evaluate GOSPA**p from the result of :func:`_detected_pairs`.
+def _totals(pairs, n_x: int, n_y: int, cut_p: float, cut_entry: float, alpha: float):
+    """Evaluate GOSPA**p from the pairs of :func:`_detected_pairs` and the
+    two forms of ``c**p`` that :func:`_cut_powers` gives.
 
     Returns ``(total_p, terms)``.  For ``alpha == 2`` ``terms`` is the
     decomposition ``(gamma, missed, false, localization_p, half_cut_p)``;
-    otherwise it is ``None``.  Both sets empty costs 0 whatever ``c**p`` is.
+    otherwise it is ``None``.
     """
-    try:
-        # a Python float power: NumPy's array power can differ in the last bit
-        cut_p = c ** p if n_x or n_y else 0.0
-    except OverflowError:
-        raise ValueError("cost matrix entries must be finite") from None
-    pairs, cut_entry = detected
     if alpha == 2.0:
         gamma = tuple((i, j) for i, j, _ in pairs)
         localization_p = 0.0
@@ -402,18 +404,29 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
     graph = _cut_off_graph(xs, ys, base, c)
     values = {}
     for p, names in requests.items():
-        detected = _detected_pairs(graph, c, p)
+        # both sets empty cost 0 whatever c**p is
+        cut_p, cut_entry = _cut_powers(c, p) if n_x or n_y else (0.0, 0.0)
+        pairs = _detected_pairs(graph, c, p, cut_entry)
         if "gospa" in names:
-            total_p, terms = _totals(detected, n_x, n_y, c, alpha, p)
+            total_p, terms = _totals(pairs, n_x, n_y, cut_p, cut_entry, alpha)
             values["gospa", p] = total_p ** (1.0 / p)
             if terms is not None:
                 values["decomposition", p] = terms
         if "uospa" in names or "ospa" in names:
-            total_p = _totals(detected, n_x, n_y, c, 1.0, p)[0]
+            total_p = _totals(pairs, n_x, n_y, cut_p, cut_entry, 1.0)[0]
             values["uospa", p] = total_p ** (1.0 / p)
             n_max = max(n_x, n_y)
             values["ospa", p] = (total_p / n_max) ** (1.0 / p) if n_max else 0.0
     return values
+
+
+def _evaluate_each(pairs, base: BaseDistance, c: float, alpha: float,
+                   requests: dict[float, Sequence[str]]) -> dict:
+    """:func:`_evaluate` for each (truths, estimates) pair, as
+    ``{(name, p): values}`` for the requested names, one value per pair."""
+    evaluated = [_evaluate(x, y, base, c, alpha, requests) for x, y in pairs]
+    return {(name, p): [values[name, p] for values in evaluated]
+            for p, names in requests.items() for name in names}
 
 
 def _enumerable(n_x, n_y):
@@ -461,94 +474,23 @@ def _enumerated_gamma(distances: np.ndarray, c: float, p: float, cut_entry: floa
     injections = _injections(n_x, n_y)
     objective = gains[:, 0, injections[:, 0]]
     for i in range(1, n_x):
-        objective = objective + gains[:, i, injections[:, i]]
-    chosen = injections[objective.argmin(axis=1)]
+        objective += gains[:, i, injections[:, i]]
+    best_index = objective.argmin(axis=1)
+    chosen = injections[best_index]
     pair_costs = np.take_along_axis(costs, np.minimum(chosen, n_y - 1)[:, :, None], axis=2)
-    best, runner_up = np.partition(objective, 1, axis=1)[:, :2].T
-    unclear = runner_up - best <= _ENUMERATION_TIE_GAP * cut_entry
+    # the runner-up is the cheapest injection once the best is set aside;
+    # there are at least two, as every truth may stay unpaired
+    samples = np.arange(n_s)
+    best = objective[samples, best_index]
+    objective[samples, best_index] = np.inf
+    unclear = objective.min(axis=1) - best <= _ENUMERATION_TIE_GAP * cut_entry
     return chosen, pair_costs[:, :, 0], unclear
 
 
-def _stack_totals(chosen: np.ndarray, pair_costs: np.ndarray, n_y: int, cut_entry: float,
-                  cut_p: float, alpha: float) -> np.ndarray:
-    """GOSPA**p of every sample of a stack, summed in the order of
-    :func:`_totals`, so that each sum is bit-identical to its result.
-
-    ``chosen`` is each truth's estimate (``n_y`` when unpaired) and
-    ``pair_costs`` the cost of that pair, read only where there is one.
-    """
-    n_s, n_x = chosen.shape
-    paired = chosen < n_y
-    if alpha == 2.0:
-        localization_p = np.zeros(n_s)
-        for i in range(n_x):
-            localization_p += np.where(paired[:, i], pair_costs[:, i], 0.0)
-        detected = paired.sum(axis=1)
-        return localization_p + (cut_p / 2.0) * ((n_x - detected) + (n_y - detected))
-    lap_total = np.zeros(n_s)
-    if n_x <= n_y:
-        for i in range(n_x):
-            lap_total += np.where(paired[:, i], pair_costs[:, i], cut_entry)
-    else:
-        for j in range(n_y):
-            hit = chosen == j  # at most one truth per sample
-            lap_total += np.where(hit.any(axis=1), np.where(hit, pair_costs, 0.0).sum(axis=1),
-                                  cut_entry)
-    return lap_total + (cut_p / alpha) * abs(n_y - n_x)
-
-
-def _evaluate_many(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
-                   alpha: float, requests: dict[float, Sequence[str]]) -> dict:
-    """:func:`_evaluate` for each sample of a stack of same-shape samples.
-
-    ``xs`` has shape (samples, n_x, D) and ``ys`` (samples, n_y, D).
-    Returns ``{(name, p): values}`` for the requested names, one value per
-    sample, each bit-identical to what :func:`_evaluate` gives.  A stack of
-    at most ``_ENUMERATION_MAX_TRUTHS`` truths, with a named base distance
-    and at most ``_ENUMERATION_MAX_INJECTIONS`` values of ``(n_y + 1) **
-    n_x``, is solved at once by :func:`_enumerated_gamma`; a sample whose
-    optimum it finds unclear, and every sample of any other stack, goes
-    through :func:`_evaluate`.
-    """
-    n_s, n_x = xs.shape[:2]
-    n_y = ys.shape[1]
-    keys = [(name, p) for p, names in requests.items() for name in names]
-    if callable(base) or not _enumerable(n_x, n_y):
-        evaluated = [_evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
-        return {key: [values[key] for values in evaluated] for key in keys}
-    c = float(c)
-    n_max = max(n_x, n_y)
-    if n_x and n_y:
-        distances = _distances(xs[:, :, None, :] - ys[:, None, :, :], base)
-    unclear = np.zeros(n_s, dtype=bool)
-    values = {}
-    for p, names in requests.items():
-        try:
-            cut_p = c ** p if n_max else 0.0
-        except OverflowError:
-            raise ValueError("cost matrix entries must be finite") from None
-        if n_x and n_y:
-            cut_entry = float((np.full(1, c) ** p)[0])
-            if not math.isfinite(cut_entry):
-                raise ValueError("cost matrix entries must be finite")
-            chosen, pair_costs, unclear_p = _enumerated_gamma(distances, c, p, cut_entry)
-            unclear |= unclear_p
-        else:  # no pair exists, and no sum reads the cost entry
-            cut_entry = cut_p
-            chosen = np.full((n_s, n_x), n_y)
-            pair_costs = np.zeros((n_s, n_x))
-        for name in names:
-            total_p = _stack_totals(chosen, pair_costs, n_y, cut_entry, cut_p,
-                                    alpha if name == "gospa" else 1.0).tolist()
-            if name == "ospa":
-                values[name, p] = [(t / n_max) ** (1.0 / p) if n_max else 0.0 for t in total_p]
-            else:
-                values[name, p] = [t ** (1.0 / p) for t in total_p]
-    for k in np.flatnonzero(unclear).tolist():
-        exact = _evaluate(xs[k], ys[k], base, c, alpha, requests)
-        for key in keys:
-            values[key][k] = exact[key]
-    return values
+def _slot_sums(slots: np.ndarray) -> np.ndarray:
+    """Each row's sum, accumulated left to right like the sums of
+    :func:`_totals`; 0.0 for rows of no slots."""
+    return np.cumsum(slots, axis=1)[:, -1] if slots.shape[1] else np.zeros(len(slots))
 
 
 def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.ndarray,
@@ -571,7 +513,7 @@ def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.
         localization = np.zeros(x_present.shape)
         localization[sample, truth] = cost
         detected = np.bincount(sample, minlength=len(x_present))
-        totals[2.0] = np.cumsum(localization, axis=1)[:, -1] + (cut_p / 2.0) * (
+        totals[2.0] = _slot_sums(localization) + (cut_p / 2.0) * (
             (n_x - detected) + (n_y - detected))
     if alphas - {2.0}:
         # the complete assignment of the smaller set, as in _totals
@@ -582,7 +524,7 @@ def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.
             if smaller.any():
                 slots = np.where(present, cut_entry, 0.0)
                 slots[sample, index] = cost
-                lap_total[smaller] = np.cumsum(slots[smaller], axis=1)[:, -1]
+                lap_total[smaller] = _slot_sums(slots[smaller])
         for alpha in alphas - {2.0}:
             totals[alpha] = lap_total + (cut_p / alpha) * np.abs(n_y - n_x)
     return totals
@@ -603,6 +545,9 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     distances come from :func:`_distances`, as in :func:`_evaluate`.
     """
     n_s, k_x = x_present.shape
+    if not (k_x and y_present.shape[1]):  # no slot pairs, so no edges
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, none, np.zeros(0)
     axis = int(np.argmax(np.ptp(np.concatenate([xs, ys], axis=1), axis=(0, 1))))
     x_line = np.where(x_present, xs[:, :, axis], np.nan)
     y_line = np.where(y_present, ys[:, :, axis], np.nan)
@@ -622,13 +567,14 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
 def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
                      y_present: np.ndarray, base: BaseDistance, c: float, alpha: float,
                      requests: dict[float, Sequence[str]]) -> dict:
-    """:func:`_evaluate` for each sample of a padded stack.
+    """:func:`_evaluate` for each sample of a padded stack: the one batched
+    kernel of the Monte Carlo estimators.
 
     Sample k's truths are ``xs[k][x_present[k]]`` and its estimates
     ``ys[k][y_present[k]]``; ``xs`` has shape (samples, K_x, D) and
-    ``x_present`` (samples, K_x), with K_x at least one, and likewise for
-    the estimates.  Returns ``{(name, p): values}`` like
-    :func:`_evaluate_many`, each value bit-identical to what
+    ``x_present`` (samples, K_x), and likewise for the estimates, where K_x
+    or K_y may be 0.  Returns ``{(name, p): values}`` for the requested
+    names, one value per sample, each bit-identical to what
     :func:`_evaluate` gives.
 
     The edges of every sample are found at once, and its forced pairs
@@ -646,20 +592,14 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     n_s, k_x = x_present.shape
     k_y = y_present.shape[1]
     c = float(c)
-
-    def exact(k: int) -> dict:
-        return _evaluate(xs[k][x_present[k]], ys[k][y_present[k]], base, c, alpha, requests)
-
     try:
-        # c**p as _totals takes it, and the cost entry as _detected_pairs does
-        cuts = {p: (c ** p, float((np.full(1, c) ** p)[0])) for p in requests}
-    except OverflowError:
+        cuts = {p: _cut_powers(c, p) for p in requests}
+    except ValueError:  # each sample then raises it, unless both its sets are empty
         cuts = None
-    if (callable(base) or k_x * k_y > _PADDED_BLOCK_CELLS or cuts is None
-            or not all(math.isfinite(entry) for _, entry in cuts.values())):
-        evaluated = [exact(k) for k in range(n_s)]
-        return {(name, p): [values[name, p] for values in evaluated]
-                for p, names in requests.items() for name in names}
+    if callable(base) or k_x * k_y > _PADDED_BLOCK_CELLS or cuts is None:
+        samples = zip(xs, x_present, ys, y_present)
+        return _evaluate_each(((x[xp], y[yp]) for x, xp, y, yp in samples),
+                              base, c, alpha, requests)
     sample, truth, estimate, distance = _padded_edges(xs, x_present, ys, y_present, base, c)
     row_key, col_key = sample * k_x + truth, sample * k_y + estimate
     forced = ((np.bincount(row_key, minlength=n_s * k_x)[row_key] == 1)
@@ -713,9 +653,9 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
             else:
                 values[name, p] = [t ** (1.0 / p) for t in total_p]
     for k in np.flatnonzero(unsure).tolist():
-        for key, value in exact(k).items():
-            if key in values:
-                values[key][k] = value
+        exact = _evaluate(xs[k][x_present[k]], ys[k][y_present[k]], base, c, alpha, requests)
+        for key in values:
+            values[key][k] = exact[key]
     return values
 
 

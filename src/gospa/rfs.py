@@ -33,13 +33,15 @@ is bit-identical to the same sample drawn in a chunk.  Pair samplers whose
 models differ only in existence probabilities, such as the twelve Table 1
 scenarios, draw the same points and existence uniforms, so
 :func:`run_table1` draws each chunk once for all of them and compares the
-uniforms with each scenario's own probabilities.  Layout v3 replaced
-v2, which drew from a ``PCG64`` generator per sample, so every seeded
-estimate changed within Monte Carlo error.
+uniforms with each scenario's own probabilities.  Every chunk is then one
+padded stack, solved by one call of ``metrics._evaluate_padded``.  Layout
+v3 replaced v2, which drew from a ``PCG64`` generator per sample, so every
+seeded estimate changed within Monte Carlo error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -49,8 +51,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .metrics import (GospaParams, _enumerable, _evaluate_many, _evaluate_padded, _is_finite,
-                      as_state_array)
+from .metrics import GospaParams, _evaluate_each, _evaluate_padded, _is_finite, as_state_array
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -386,58 +387,46 @@ def _chunk_size(sampler: PairSampler) -> int:
 
 
 def _chunk_values(samplers: Sequence[PairSampler], keys: np.ndarray, base, c: float,
-                  alpha: float, requests: dict):
-    """The values of a chunk of sample keys for each sampler, in groups.
+                  alpha: float, requests: dict) -> dict:
+    """The values of a chunk of sample keys for every sampler, as
+    ``{(name, p): values}``, sampler by sampler and each in key order.
 
-    Yields ``(index, positions, values)``: the index in ``samplers`` of the
-    sampler, the positions in ``keys`` of a group's samples and their
-    ``{(name, p): values}``.  Pair samplers of independent models that
-    differ only in existence probabilities draw the whole chunk once and
-    each compares the existence uniforms with its own probabilities; each
-    one's samples then go through :func:`_masked_values`.  Any other
-    sampler comes alone, is called once per key and has its samples grouped
-    by shape.
+    Pair samplers of independent models that differ only in existence
+    probabilities draw the chunk once and stack its points once per
+    sampler, each copy with that sampler's existence masks.  Any other
+    sampler comes alone, is called once per key and has its sets padded to
+    the largest.  The stack is solved by one ``metrics._evaluate_padded``
+    call; a chunk whose sets differ in dimension, one sample at a time.
     """
     first = samplers[0]
     if isinstance(first, IndependentPairSampler):
         (xs, x_uniforms), (ys, y_uniforms) = first._raw_draw(keys)
-        for index, sampler in enumerate(samplers):
-            for positions, values in _masked_values(
-                    xs, x_uniforms < sampler.truth._existence,
-                    ys, y_uniforms < sampler.estimate._existence, base, c, alpha, requests):
-                yield index, positions, values
-        return
-    pairs = [first.sample_pair(key) for key in keys.tolist()]
-    by_shape: dict[tuple, list[int]] = {}
-    for k, (x, y) in enumerate(pairs):
-        by_shape.setdefault((np.shape(x), np.shape(y)), []).append(k)
-    for positions in by_shape.values():
-        yield 0, np.array(positions), _evaluate_many(
-            np.stack([pairs[k][0] for k in positions]),
-            np.stack([pairs[k][1] for k in positions]), base, c, alpha, requests)
-
-
-def _masked_values(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
-                   y_present: np.ndarray, base, c: float, alpha: float, requests: dict):
-    """The values of a padded draw, in groups, as :func:`_chunk_values`
-    yields them without the index.  The samples within the enumeration
-    limits are grouped by shape and solved by ``metrics._evaluate_many``,
-    and the others are solved together on their padded draw by
-    ``metrics._evaluate_padded``."""
-    n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
-    small = _enumerable(n_x, n_y)
-    padded = np.flatnonzero(~small)
-    if len(padded):
-        yield padded, _evaluate_padded(xs[padded], x_present[padded], ys[padded],
-                                       y_present[padded], base, c, alpha, requests)
-    shapes = n_x * (y_present.shape[1] + 1) + n_y
-    for shape in np.unique(shapes[small]).tolist():
-        positions = np.flatnonzero(small & (shapes == shape))
-        size = len(positions)
-        yield positions, _evaluate_many(
-            xs[positions][x_present[positions]].reshape(size, -1, xs.shape[2]),
-            ys[positions][y_present[positions]].reshape(size, -1, ys.shape[2]),
+        copies = (len(samplers), 1, 1)
+        return _evaluate_padded(
+            np.tile(xs, copies),
+            np.concatenate([x_uniforms < sampler.truth._existence for sampler in samplers]),
+            np.tile(ys, copies),
+            np.concatenate([y_uniforms < sampler.estimate._existence for sampler in samplers]),
             base, c, alpha, requests)
+    pairs = [first.sample_pair(key) for key in keys.tolist()]
+    dimensions = {points.shape[1] for pair in pairs for points in pair if len(points)}
+    if len(dimensions) > 1:
+        return _evaluate_each(pairs, base, c, alpha, requests)
+    dimension = dimensions.pop() if dimensions else 0
+    (xs, x_present), (ys, y_present) = (
+        _padded([pair[side] for pair in pairs], dimension) for side in (0, 1))
+    return _evaluate_padded(xs, x_present, ys, y_present, base, c, alpha, requests)
+
+
+def _padded(sets: list[np.ndarray], dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sets of one dimension as a (len(sets), K, dimension) stack, padded
+    to the largest cardinality K, and the mask of the slots each set fills."""
+    sizes = np.array([len(points) for points in sets])
+    stack = np.zeros((len(sets), sizes.max(), dimension))
+    for k, points in enumerate(sets):
+        if len(points):  # an empty set may have dimension 0
+            stack[k, :len(points)] = points
+    return stack, np.arange(stack.shape[1]) < sizes[:, None]
 
 
 def _outer_powers(values: list[float], p_prime: float) -> list[float]:
@@ -457,7 +446,7 @@ def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells,
     models differ only in existence probabilities, so that they share each
     sample's draw.  Sample k uses the seed ``derive_sample_seed(master_seed,
     k)`` for all samplers and cells.  The samples are drawn in chunks and
-    each chunk is evaluated in groups by :func:`_chunk_values`, whose values
+    each chunk is evaluated at once by :func:`_chunk_values`, whose values
     are those of the scalar kernel.  The per-sample values are reduced in
     index order, so each sampler's results are those it gets alone and
     depend on neither ``workers`` nor the chunk boundaries.  Returns one
@@ -484,11 +473,13 @@ def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells,
 
     def block(lo: int, hi: int) -> None:
         for start in range(lo, hi, chunk):
-            keys = _sample_keys(master_seed, start, min(start + chunk, hi))
-            for index, positions, values in _chunk_values(samplers, keys, base, c, alpha,
-                                                          requests):
-                for row, (metric, p, p_prime) in zip(powers[index], cells):
-                    row[start + positions] = _outer_powers(values[metric, p], p_prime)
+            stop = min(start + chunk, hi)
+            values = _chunk_values(samplers, _sample_keys(master_seed, start, stop), base, c,
+                                   alpha, requests)
+            for index, (metric, p, p_prime) in enumerate(cells):
+                powers[:, index, start:stop] = np.reshape(
+                    _outer_powers(values[metric, p], p_prime), (len(samplers), -1))
+            del values  # before the next chunk's values are made
 
     _run_blocks(samples, workers, block)
     return [[_estimate_from_powers(row, p_prime) for row, (_, _, p_prime) in zip(rows, cells)]
@@ -540,6 +531,15 @@ def table1_scenario(n_missed: int, n_false: int) -> IndependentPairSampler:
     return IndependentPairSampler(truth=truth, estimate=MultiBernoulli(tuple(components)))
 
 
+@functools.cache
+def _table1_samplers() -> tuple[IndependentPairSampler, ...]:
+    """The twelve scenarios of :func:`run_table1`, missed counts outer and
+    false counts inner, built once per process; no caller outside this
+    module sees them."""
+    return tuple(table1_scenario(n_missed, n_false)
+                 for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE)
+
+
 @dataclass(frozen=True)
 class Table1Cell:
     metric: str
@@ -572,9 +572,11 @@ def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0,
     """Estimate every benchmark-grid cell with p' = p in {1, 2}.
 
     Scenario cells share per-sample seeds (common random numbers).  The
-    twelve scenarios differ only in existence probabilities, so each chunk
-    of samples is drawn once for all of them, and each scenario compares
-    the shared existence uniforms with its own probabilities.  Each cell
+    twelve scenarios, built once per process, differ only in existence
+    probabilities, so each chunk of samples is drawn once for all of them,
+    each scenario compares the shared existence uniforms with its own
+    probabilities, and the twelve masked copies of the chunk are solved
+    together as one padded stack.  Each cell
     equals what :func:`estimate_metric` returns for the corresponding
     scenario, metric and exponent, bit for bit.
     """
@@ -584,8 +586,7 @@ def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0,
     scenarios = [(n_missed, n_false)
                  for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE]
     grid = dict(zip(scenarios, _estimate_cells(
-        [table1_scenario(*scenario) for scenario in scenarios], params, cells,
-        cfg.samples, cfg.master_seed, workers)))
+        _table1_samplers(), params, cells, cfg.samples, cfg.master_seed, workers)))
     ordered = tuple(
         Table1Cell(metric=metric, p=p, n_missed=n_missed, n_false=n_false,
                    estimate=grid[n_missed, n_false][index])

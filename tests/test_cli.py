@@ -423,6 +423,23 @@ def test_mean_of_powers_whose_sum_overflows_is_finite(remote_models):
     assert 0.0 < float(lines["standard error"]) < float(lines["value"])
 
 
+@pytest.mark.parametrize("command, c, p", [("compute", "8", "400"), ("compute", "3", "700"),
+                                           ("mean", "8", "400")])
+def test_an_overflowing_cut_off_power_prints_only_the_error(tmp_path, remote_models,
+                                                             command, c, p):
+    if command == "compute":
+        inputs = (write_points(tmp_path / "x.json", [[0.0, 0.0], [1.0, 1.0]]),
+                  write_points(tmp_path / "y.json", [[0.5, 0.0]]))
+    else:
+        inputs = (*remote_models, "--samples", "50")
+    done = subprocess.run(
+        [sys.executable, "-m", "gospa", command, *inputs, "--c", c, "--p", p],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: cost matrix entries must be finite\n"
+
+
 @pytest.mark.parametrize("command", ["table1", "mean"])
 def test_samples_beyond_memory_exit_2(capsys, monkeypatch, remote_models, command):
     real_empty = np.empty

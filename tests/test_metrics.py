@@ -603,10 +603,18 @@ def assert_padded_matches_evaluate(xs, x_present, ys, y_present, base, c, alpha,
         assert np.array(values).tobytes() == np.array([e[key] for e in expected]).tobytes(), key
 
 
+def evaluate_stack(xs, ys, base, c, alpha, requests):
+    """``_evaluate_padded`` on a stack of same-shape samples, every slot present."""
+    return metrics._evaluate_padded(xs, np.ones(xs.shape[:2], dtype=bool),
+                                    ys, np.ones(ys.shape[:2], dtype=bool),
+                                    base, c, alpha, requests)
+
+
 def assert_matches_evaluate(xs, ys, base, c, alpha, requests):
-    """``_evaluate_many`` gives, bit for bit, what ``_evaluate`` gives per sample."""
+    """``_evaluate_padded`` gives, bit for bit, what ``_evaluate`` gives per
+    sample of a stack of same-shape samples."""
     expected = [metrics._evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
-    got = metrics._evaluate_many(xs, ys, base, c, alpha, requests)
+    got = evaluate_stack(xs, ys, base, c, alpha, requests)
     assert set(got) == {(name, p) for p, names in requests.items() for name in names}
     for key, values in got.items():
         assert np.array(values).tobytes() == np.array([e[key] for e in expected]).tobytes(), key
@@ -646,7 +654,7 @@ def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base
         expected = [metrics._evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "_evaluate", None)  # any scalar solve would fail
-            got = metrics._evaluate_many(xs, ys, base, c, alpha, requests)
+            got = evaluate_stack(xs, ys, base, c, alpha, requests)
         for key, values in got.items():
             assert values == [e[key] for e in expected]
 
@@ -704,9 +712,9 @@ def test_a_cost_entry_beyond_the_float_range_is_a_value_error():
     xs, ys = np.zeros((2, 1, 2)), np.ones((2, 2, 2))
     for stack in ((xs, ys), (xs, ys[:, :0]), (xs[:, :0], ys)):
         with pytest.raises(ValueError, match="finite"):
-            metrics._evaluate_many(*stack, "euclidean", 1e200, 2.0, {2.0: ALL_NAMES})
-    assert metrics._evaluate_many(xs[:, :0], ys[:, :0], "euclidean", 1e200, 2.0,
-                                  {2.0: ALL_NAMES})["ospa", 2.0] == [0.0, 0.0]
+            evaluate_stack(*stack, "euclidean", 1e200, 2.0, {2.0: ALL_NAMES})
+    assert evaluate_stack(xs[:, :0], ys[:, :0], "euclidean", 1e200, 2.0,
+                          {2.0: ALL_NAMES})["ospa", 2.0] == [0.0, 0.0]
 
 
 # --- padded stacks -------------------------------------------------------------

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gospa import rfs
+from gospa import metrics, rfs
 from gospa.metrics import GospaParams, gospa, ospa
 from gospa.rfs import (
     BernoulliComponent,
@@ -371,6 +371,28 @@ class TestEstimatorConfig:
             EstimatorConfig(p_prime=p_prime)
 
 
+# custom joint draws from a generator, for chunks that pad or cannot pad
+
+def both_empty(rng):
+    return np.zeros((0, 0)), np.zeros((0, 0))
+
+
+def one_side_empty(rng):
+    return rng.normal(size=(int(rng.integers(0, 3)), 2)), np.zeros((0, 0))
+
+
+def two_or_three_dimensions(rng):
+    dim = int(rng.integers(2, 4))
+    return rng.normal(size=(2, dim)), rng.normal(size=(3, dim))
+
+
+def three_clusters_of_two_by_two(rng):
+    # each cluster lies within c, so a sample's remainder is 6 x 6
+    sites = np.repeat([[0.0, 0.0], [30.0, 0.0], [0.0, 30.0]], 2, axis=0)
+    return (sites + rng.normal(scale=0.3, size=(6, 2)),
+            sites + rng.normal(scale=0.3, size=(6, 2)))
+
+
 class TestEstimateMetric:
     def test_degenerate_models_match_deterministic_metric(self):
         truth = _point_model([[-6.0, -6.0], [0.0, 3.0]])
@@ -498,7 +520,7 @@ class TestEstimateMetric:
         params = GospaParams(c=4.0, alpha=1.5, p=2.0)
         cfg = EstimatorConfig(p_prime=1.5, samples=300, master_seed=17)
         pairs = [sampler.sample_pair(derive_sample_seed(17, k)) for k in range(cfg.samples)]
-        assert sum(not rfs._enumerable(len(x), len(y)) for x, y in pairs) > 250
+        assert sum(not metrics._enumerable(len(x), len(y)) for x, y in pairs) > 250
         for variant in ("gospa", "ospa"):
             result = estimate_metric(sampler, params, cfg, variant=variant, workers=workers)
             if variant == "ospa":
@@ -526,6 +548,24 @@ class TestEstimateMetric:
         powers = [gospa(*sampler.sample_pair(derive_sample_seed(5, k)), params).total ** 2.0
                   for k in range(cfg.samples)]
         assert result.value == np.mean(powers) ** 0.5
+
+    @pytest.mark.parametrize("draw", [
+        both_empty, one_side_empty, two_or_three_dimensions, three_clusters_of_two_by_two])
+    @pytest.mark.parametrize("variant", ["gospa", "uospa", "ospa"])
+    def test_custom_chunks_match_a_plain_loop_bitwise(self, draw, variant):
+        sampler = CustomJointSampler(lambda seed: draw(np.random.Generator(np.random.PCG64(seed))))
+        c, alpha, p = 4.0, 1.5, 2.0
+        keys = rfs._sample_keys(5, 0, 40)
+        got = rfs._chunk_values([sampler], keys, "euclidean", c, alpha, {p: [variant]})
+        expected = []
+        for k in range(len(keys)):
+            x, y = sampler.sample_pair(derive_sample_seed(5, k))
+            if variant == "ospa":
+                expected.append(ospa(x, y, c=c, p=p))
+            else:
+                params = GospaParams(c=c, alpha=alpha if variant == "gospa" else 1.0, p=p)
+                expected.append(gospa(x, y, params).total)
+        assert np.array(got[variant, p]).tobytes() == np.array(expected).tobytes()
 
     def test_single_cpu_runs_serially(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -711,6 +751,33 @@ class TestRunTable1:
         run_table1(samples=samples, master_seed=3)
         # one truth and one estimate draw per chunk, shared by the scenarios
         assert draws == [chunk, chunk, chunk, chunk, 7, 7]
+
+    def test_each_chunk_is_solved_by_one_padded_call(self, monkeypatch):
+        stacks = []
+        real_evaluate_padded = rfs._evaluate_padded
+
+        def counting(xs, *args):
+            stacks.append(len(xs))
+            return real_evaluate_padded(xs, *args)
+
+        monkeypatch.setattr(rfs, "_evaluate_padded", counting)
+        chunk = rfs._chunk_size(table1_scenario(0, 0))
+        run_table1(samples=600, master_seed=2)
+        # the twelve scenarios' copies of a chunk form one stack
+        assert stacks == [12 * chunk, 12 * chunk, 12 * (600 - 2 * chunk)]
+
+    def test_a_warm_run_builds_no_component(self, monkeypatch):
+        run_table1(samples=2, master_seed=0)
+        built = []
+        real_post_init = BernoulliComponent.__post_init__
+
+        def counting(component):
+            built.append(component)
+            real_post_init(component)
+
+        monkeypatch.setattr(BernoulliComponent, "__post_init__", counting)
+        run_table1(samples=2, master_seed=0)
+        assert built == []
 
     def test_samplers_sharing_a_draw_must_differ_only_in_existence(self):
         params = GospaParams(c=8.0)
