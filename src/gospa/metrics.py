@@ -15,7 +15,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,22 +30,20 @@ _NAMED_BASE_DISTANCES = ("euclidean", "manhattan")
 # On sets spread in the plane the two cost the same near 2,000 pairs.
 _SWEEP_MIN_PAIRS = 4096
 # A sweep whose windows hold more than this share of all pairs builds the
-# whole matrix instead.  Gathering a candidate costs about three matrix
-# entries, and a large component's distances are computed once more.
+# whole matrix instead; gathering a candidate costs about three matrix entries.
 _SWEEP_MAX_SHARE = 0.25
-# The part of a padded sample that its forced pairs leave is solved by
-# enumerating every injection of its truths into its estimates when it has
-# at most this many truths, a named base distance and at most
-# _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x.
+# A component of the d < c graph is solved by enumerating every injection of
+# its truths into its estimates when it has at most this many truths and at
+# most _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x.
 _ENUMERATION_MAX_TRUTHS = 4
 _ENUMERATION_MAX_INJECTIONS = 1024
 # A padded stack finds its edges over blocks of samples holding at most this
 # many truth-estimate slot pairs; a stack with more slot pairs per sample
 # than this is evaluated one sample at a time.
 _PADDED_BLOCK_CELLS = 16384
-# A sample whose best and second-best detected-pair sets differ in cost by
-# at most this share of c**p is solved by `_evaluate` instead, so rounding
-# in the enumeration can never pick a different set.
+# A component whose best and second-best detected-pair sets differ in cost by
+# at most this share of c**p is solved by the assignment solver instead, so
+# rounding in the enumeration can never pick a different set.
 _ENUMERATION_TIE_GAP = 1e-9
 
 
@@ -173,6 +171,15 @@ def _base_distance_matrix(x: np.ndarray, y: np.ndarray, base: BaseDistance) -> n
     return _distances(x[:, None, :] - y[None, :, :], base)
 
 
+def _widest_axis(xs: np.ndarray, ys: np.ndarray) -> int:
+    """The coordinate along which the points of ``xs`` and ``ys``, arrays of
+    any shape whose last axis holds the coordinates, spread widest."""
+    dim = xs.shape[-1]
+    # one contiguous row per coordinate: reductions along it are fast
+    points = np.concatenate([xs.reshape(-1, dim), ys.reshape(-1, dim)]).T.copy()
+    return int(np.argmax(points.max(axis=1) - points.min(axis=1)))
+
+
 def _sweep_candidates(xs: np.ndarray, ys: np.ndarray, c: float):
     """Every pair within c of each other on one coordinate, as row and column
     index arrays in row order; ``None`` when they exceed
@@ -184,7 +191,7 @@ def _sweep_candidates(xs: np.ndarray, ys: np.ndarray, c: float):
     are sorted on it and each truth takes the window of estimates within c,
     widened by a relative slack so that rounding cannot drop a pair.
     """
-    axis = int(np.argmax(np.ptp(np.concatenate([xs, ys]), axis=0)))
+    axis = _widest_axis(xs, ys)
     order = np.argsort(ys[:, axis], kind="stable")
     keys = ys[order, axis]
     centres = xs[:, axis]
@@ -201,131 +208,67 @@ def _sweep_candidates(xs: np.ndarray, ys: np.ndarray, c: float):
     return np.repeat(np.arange(len(xs)), counts), order[np.repeat(lo, counts) + offsets]
 
 
-class _CutOffGraph(NamedTuple):
-    """The bipartite graph of truth/estimate pairs at base distance below c.
-
-    Any other pair costs ``c**p``, as much as leaving both of its targets
-    unassigned, so an optimal assignment splits into the connected
-    components of this graph.  ``forced_*`` are the edges whose two ends
-    have no other edge: every optimum takes them.  ``components`` are the
-    other components that have an edge, each as its sorted truth indices,
-    its sorted estimate indices and the block of base distances between
-    them.  None of it depends on p.
-    """
-
-    forced_rows: list[int]
-    forced_cols: list[int]
-    forced_distances: np.ndarray
-    components: list[tuple[list[int], list[int], np.ndarray]]
+def _no_edges():
+    return (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),)
 
 
-def _connected_components(edge: np.ndarray, starts: np.ndarray):
-    """The connected components of the bipartite graph with adjacency
-    matrix ``edge`` that hold a row of ``starts``, as sorted rows and
-    sorted columns.
-
-    Grows each component breadth-first, a whole layer per step, so the
-    work per component is a few array operations whatever its size.
-    """
-    unvisited = np.zeros(edge.shape[0], dtype=bool)
-    unvisited[starts] = True
-    components = []
-    for start in starts.tolist():
-        if not unvisited[start]:
-            continue
-        rows = np.array([start])
-        while True:
-            cols = np.flatnonzero(edge[rows].any(axis=0))
-            grown = np.flatnonzero(edge[:, cols].any(axis=1))
-            if len(grown) == len(rows):  # rows only ever grow
-                break
-            rows = grown
-        unvisited[rows] = False
-        components.append((rows.tolist(), cols.tolist()))
-    return components
-
-
-def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance,
-                   c: float) -> Optional[_CutOffGraph]:
-    """The graph of pairs with base distance < c; ``None`` if a set is empty.
-
-    Large inputs with a named base distance take their candidate pairs from
-    :func:`_sweep_candidates`; the others, and a sweep that finds too many
-    candidates, from the whole distance matrix.
+def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float):
+    """The pairs of one pair of sets at base distance below c, as (sample,
+    truth, estimate, distance) arrays in ascending truth order, every sample
+    0.  Large inputs with a named base distance take their candidate pairs
+    from :func:`_sweep_candidates`; the others, and a sweep that finds too
+    many candidates, from the whole distance matrix.
     """
     if len(xs) == 0 or len(ys) == 0:
-        return None
+        return _no_edges()
     candidates = None
     if not callable(base) and len(xs) * len(ys) > _SWEEP_MIN_PAIRS:
         candidates = _sweep_candidates(xs, ys, c)
     if candidates is None:
         distances = _base_distance_matrix(xs, ys, base)
-        edge = distances < c
-        rows, cols = np.nonzero(edge)
+        truth, estimate = np.nonzero(distances < c)
+        distance = distances[truth, estimate]
     else:
-        rows, cols = candidates
-        pair_distances = _distances(xs[rows] - ys[cols], base)
-        close = pair_distances < c
-        rows, cols, pair_distances = rows[close], cols[close], pair_distances[close]
-    row_degree = np.bincount(rows, minlength=len(xs))
-    col_degree = np.bincount(cols, minlength=len(ys))
-    forced = (row_degree[rows] == 1) & (col_degree[cols] == 1)
-    forced_rows, forced_cols = rows[forced], cols[forced]
-    free = ~forced
-    starts = np.flatnonzero(np.bincount(rows[free], minlength=len(xs)))
-    components = []
-    if candidates is None:
-        forced_distances = distances[forced_rows, forced_cols]
-        if len(starts):
-            for comp_rows, comp_cols in _connected_components(edge, starts):
-                components.append((comp_rows, comp_cols,
-                                   distances[np.ix_(comp_rows, comp_cols)]))
-    else:
-        forced_distances = pair_distances[forced]
-        if len(starts):
-            # the graph of the unforced edges alone: its rows are the starts
-            # and its columns the estimates those edges reach
-            free_cols = cols[free]
-            col_ids = np.unique(free_cols)
-            free_edge = np.zeros((len(starts), len(col_ids)), dtype=bool)
-            free_edge[np.searchsorted(starts, rows[free]),
-                      np.searchsorted(col_ids, free_cols)] = True
-            local = _connected_components(free_edge, np.arange(len(starts)))
-            for local_rows, local_cols in local:
-                comp_rows, comp_cols = starts[local_rows], col_ids[local_cols]
-                block = _distances(xs[comp_rows][:, None, :] - ys[comp_cols][None, :, :], base)
-                components.append((comp_rows.tolist(), comp_cols.tolist(), block))
-    return _CutOffGraph(
-        forced_rows=forced_rows.tolist(),
-        forced_cols=forced_cols.tolist(),
-        forced_distances=forced_distances,
-        components=components,
-    )
+        truth, estimate = candidates
+        distance = _distances(xs.take(truth, axis=0) - ys.take(estimate, axis=0), base)
+        close = distance < c
+        truth, estimate, distance = truth[close], estimate[close], distance[close]
+    return np.zeros(len(truth), dtype=np.intp), truth, estimate, distance
 
 
-def _component_pairs(block: np.ndarray, rows: list[int], cols: list[int],
-                     c: float, p: float, cut_entry: float):
-    """The detected pairs of one component, with their costs.
+def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
+                  y_present: np.ndarray, base: str, c: float):
+    """The pairs of present targets closer than c in every sample of a
+    padded stack, as (sample, truth slot, estimate slot, distance) arrays in
+    ascending (sample, truth) order.
 
-    ``block`` holds the base distances from the component's truths to its
-    estimates.  Truths are rows and estimates columns, followed by dummy
-    columns at ``c**p`` that stand for leaving a truth unpaired.  Pairs that
-    are not edges cost more than ``c**p``, so no optimum uses them.  Among
-    optimal assignments the solver returns the lexicographically smallest,
-    and as the dummy columns come after the real ones, that realizes the
-    tie rule of :func:`gospa` on this component.
+    Candidates are the pairs within reach of each other on the coordinate
+    along which the targets spread widest, compared over blocks of at most
+    ``_PADDED_BLOCK_CELLS`` slot pairs; an absent target sits at NaN there,
+    within reach of nothing.  Both named base distances are at least the
+    difference on one coordinate, up to rounding that the relative slack of
+    the reach covers, unless that difference is so small that its square
+    underflows, and every such pair is a candidate.  The candidates'
+    distances come from :func:`_distances`, as in :func:`_cut_off_graph`.
     """
-    edge = block < c
-    costs = np.minimum(block, c) ** p
-    costs[~edge] = min(2.0 * cut_entry, sys.float_info.max)
-    # an optimal gamma leaves a truth unpaired only when all of that truth's
-    # estimates are paired, so it pairs at least the smallest row degree
-    n_rows, n_cols = costs.shape
-    dummies = max(0, n_rows - int(edge.sum(axis=1).min()))
-    matrix = np.hstack([costs, np.full((n_rows, dummies), cut_entry)]) if dummies else costs
-    solution = solve_full_assignment(matrix)
-    return [(rows[r], cols[k], float(costs[r, k]))
-            for r, k in solution.pairs if k < n_cols and edge[r, k]]
+    (n_s, k_x), (k_y, dim) = x_present.shape, ys.shape[1:]
+    if not (k_x and k_y):  # no slot pairs, so no edges
+        return _no_edges()
+    axis = _widest_axis(xs, ys)
+    x_line = np.where(x_present, xs[:, :, axis], np.nan)
+    y_line = np.where(y_present, ys[:, :, axis], np.nan)
+    reach = max(c * (1.0 + 1e-9), 1e-150)
+    step = max(1, _PADDED_BLOCK_CELLS // (k_x * k_y))
+    parts = []
+    for lo in range(0, n_s, step):
+        gap = np.abs(x_line[lo:lo + step, :, None] - y_line[lo:lo + step, None, :])
+        sample, truth, estimate = np.nonzero(gap <= reach)
+        parts.append((sample + lo, truth, estimate))
+    sample, truth, estimate = (np.concatenate(column) for column in zip(*parts))
+    distance = _distances(xs.reshape(-1, dim).take(sample * k_x + truth, axis=0)
+                          - ys.reshape(-1, dim).take(sample * k_y + estimate, axis=0), base)
+    edge = distance < c
+    return sample[edge], truth[edge], estimate[edge], distance[edge]
 
 
 def _cut_powers(c: float, p: float) -> tuple[float, float]:
@@ -342,91 +285,6 @@ def _cut_powers(c: float, p: float) -> tuple[float, float]:
     if not (math.isfinite(cut_p) and math.isfinite(cut_entry)):
         raise ValueError("cost matrix entries must be finite")
     return cut_p, cut_entry
-
-
-def _detected_pairs(graph: Optional[_CutOffGraph], c: float, p: float, cut_entry: float):
-    """The optimal detected-pair set γ for exponent p, solved component by
-    component, as (truth, estimate, cost) triples sorted by truth.
-    ``cut_entry`` is ``c**p`` as a cost entry holds it."""
-    if graph is None:
-        return []
-    costs = (graph.forced_distances ** p).tolist()
-    pairs = list(zip(graph.forced_rows, graph.forced_cols, costs))  # sorted by truth
-    for rows, cols, block in graph.components:
-        pairs.extend(_component_pairs(block, rows, cols, c, p, cut_entry))
-    if graph.components:
-        pairs.sort()
-    return pairs
-
-
-def _totals(pairs, n_x: int, n_y: int, cut_p: float, cut_entry: float, alpha: float):
-    """Evaluate GOSPA**p from the pairs of :func:`_detected_pairs` and the
-    two forms of ``c**p`` that :func:`_cut_powers` gives.
-
-    Returns ``(total_p, terms)``.  For ``alpha == 2`` ``terms`` is the
-    decomposition ``(gamma, missed, false, localization_p, half_cut_p)``;
-    otherwise it is ``None``.
-    """
-    if alpha == 2.0:
-        gamma = tuple((i, j) for i, j, _ in pairs)
-        localization_p = 0.0
-        for _, _, cost in pairs:
-            localization_p += cost
-        half_cut_p = cut_p / 2.0
-        missed = n_x - len(gamma)
-        false = n_y - len(gamma)
-        total_p = localization_p + half_cut_p * (missed + false)
-        return total_p, (gamma, missed, false, localization_p, half_cut_p)
-    # the complete assignment of the smaller set, summed in its index order;
-    # a target outside gamma is paired at the cut-off
-    if n_x <= n_y:
-        n_small, partner_cost = n_x, {i: cost for i, _, cost in pairs}
-    else:
-        n_small, partner_cost = n_y, {j: cost for _, j, cost in pairs}
-    lap_total = 0.0
-    for k in range(n_small):
-        lap_total += partner_cost.get(k, cut_entry)
-    return lap_total + (cut_p / alpha) * abs(n_y - n_x), None
-
-
-def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
-              alpha: float, requests: dict[float, Sequence[str]]) -> dict:
-    """GOSPA (at ``alpha``), uOSPA and OSPA of one pair of sets.
-
-    ``requests`` maps each exponent p to the metric names wanted at it,
-    from "gospa", "uospa" and "ospa".  The cut-off graph is built once and
-    the detected-pair set solved once per p.  Returns ``{(name, p): value}``;
-    with ``alpha == 2`` a "gospa" entry comes with a ("decomposition", p)
-    entry holding the ``terms`` of :func:`_totals`.
-    """
-    c = float(c)  # an integer c would make the cost entry c**p a wrapping int64 power
-    n_x, n_y = len(xs), len(ys)
-    graph = _cut_off_graph(xs, ys, base, c)
-    values = {}
-    for p, names in requests.items():
-        # both sets empty cost 0 whatever c**p is
-        cut_p, cut_entry = _cut_powers(c, p) if n_x or n_y else (0.0, 0.0)
-        pairs = _detected_pairs(graph, c, p, cut_entry)
-        if "gospa" in names:
-            total_p, terms = _totals(pairs, n_x, n_y, cut_p, cut_entry, alpha)
-            values["gospa", p] = total_p ** (1.0 / p)
-            if terms is not None:
-                values["decomposition", p] = terms
-        if "uospa" in names or "ospa" in names:
-            total_p = _totals(pairs, n_x, n_y, cut_p, cut_entry, 1.0)[0]
-            values["uospa", p] = total_p ** (1.0 / p)
-            n_max = max(n_x, n_y)
-            values["ospa", p] = (total_p / n_max) ** (1.0 / p) if n_max else 0.0
-    return values
-
-
-def _evaluate_each(pairs, base: BaseDistance, c: float, alpha: float,
-                   requests: dict[float, Sequence[str]]) -> dict:
-    """:func:`_evaluate` for each (truths, estimates) pair, as
-    ``{(name, p): values}`` for the requested names, one value per pair."""
-    evaluated = [_evaluate(x, y, base, c, alpha, requests) for x, y in pairs]
-    return {(name, p): [values[name, p] for values in evaluated]
-            for p, names in requests.items() for name in names}
 
 
 def _enumerable(n_x, n_y):
@@ -453,144 +311,291 @@ def _injections(n_x: int, n_y: int) -> np.ndarray:
 
 
 def _enumerated_gamma(distances: np.ndarray, c: float, p: float, cut_entry: float):
-    """The detected-pair set of every sample of a stack, by enumeration.
+    """The detected-pair set of every component of a stack, by enumeration.
 
-    ``distances`` has shape (samples, n_x, n_y), with n_x and n_y at least
-    one.  Pairing truth i with estimate j changes the cost by
-    ``d**p - c**p`` on an edge (d < c); a pair that is no edge is out of
-    reach, and an unpaired truth changes nothing.  Of the injections in
-    lexicographic order, ``argmin`` takes the first cheapest, which is the
-    tie rule of :class:`GospaBreakdown`.
+    ``distances`` has shape (components, n_x, n_y), with n_x and n_y at
+    least one and +inf or any value of at least c where a pair is no edge.
+    Pairing truth i with estimate j changes the cost by ``d**p - c**p`` on an
+    edge (d < c); a pair that is no edge is out of reach, and an unpaired
+    truth changes nothing.  Of the injections in lexicographic order,
+    ``argmin`` takes the first cheapest, which is the tie rule of
+    :class:`GospaBreakdown`.
 
-    Returns ``(chosen, pair_costs, unclear)``, each row one sample: each
-    truth's estimate (``n_y`` when unpaired), the cost of that pair (read
-    only where there is one), and whether the runner-up lies within
-    ``_ENUMERATION_TIE_GAP * c**p`` of the optimum.
+    Returns ``(chosen, pair_costs, unclear)``, each row one component: each
+    truth's estimate (``n_y`` when unpaired), the cost of that pair, and
+    whether the runner-up lies within ``_ENUMERATION_TIE_GAP * c**p`` of the
+    optimum or the sums overflowed.
     """
     n_s, n_x, n_y = distances.shape
-    costs = np.minimum(distances, c) ** p  # array powers, as in _detected_pairs
+    costs = np.minimum(distances, c) ** p  # array powers, as every cost entry
     gains = np.zeros((n_s, n_x, n_y + 1))
     gains[:, :, :n_y] = np.where(distances < c, costs - cut_entry, np.inf)
     injections = _injections(n_x, n_y)
-    objective = gains[:, 0, injections[:, 0]]
-    for i in range(1, n_x):
-        objective += gains[:, i, injections[:, i]]
-    best_index = objective.argmin(axis=1)
-    chosen = injections[best_index]
-    pair_costs = np.take_along_axis(costs, np.minimum(chosen, n_y - 1)[:, :, None], axis=2)
-    # the runner-up is the cheapest injection once the best is set aside;
-    # there are at least two, as every truth may stay unpaired
-    samples = np.arange(n_s)
-    best = objective[samples, best_index]
-    objective[samples, best_index] = np.inf
-    unclear = objective.min(axis=1) - best <= _ENUMERATION_TIE_GAP * cut_entry
-    return chosen, pair_costs[:, :, 0], unclear
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = gains[:, 0, injections[:, 0]]
+        for i in range(1, n_x):
+            objective += gains[:, i, injections[:, i]]
+        best_index = objective.argmin(axis=1)
+        chosen = injections[best_index]
+        pair_costs = np.take_along_axis(costs, np.minimum(chosen, n_y - 1)[:, :, None], axis=2)
+        # the runner-up is the cheapest injection once the best is set aside;
+        # there are at least two, as every truth may stay unpaired
+        samples = np.arange(n_s)
+        best = objective[samples, best_index]
+        objective[samples, best_index] = np.inf
+        clear = objective.min(axis=1) - best > _ENUMERATION_TIE_GAP * cut_entry
+    return chosen, pair_costs[:, :, 0], ~(clear & np.isfinite(best))
+
+
+def _component_pairs(block: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     c: float, p: float, cut_entry: float):
+    """The detected pairs of one component by the assignment solver, as
+    (row, column, cost) arrays.
+
+    ``block`` holds the distances from the truths ``rows`` to the estimates
+    ``cols``, at least c where a pair is no edge.  Dummy columns at ``c**p``
+    after the estimates stand for leaving a truth unpaired, and non-edges
+    cost more than ``c**p``, so no optimum uses them.  The solver returns
+    the lexicographically smallest optimum, which is the tie rule of
+    :func:`gospa` on this component.
+    """
+    edge = block < c
+    costs = np.minimum(block, c) ** p
+    costs[~edge] = min(2.0 * cut_entry, sys.float_info.max)
+    # an optimal gamma leaves a truth unpaired only when all of that truth's
+    # estimates are paired, so it pairs at least the smallest row degree
+    n_rows, n_cols = costs.shape
+    dummies = max(0, n_rows - int(edge.sum(axis=1).min()))
+    matrix = np.hstack([costs, np.full((n_rows, dummies), cut_entry)]) if dummies else costs
+    pairs = [(r, k) for r, k in solve_full_assignment(matrix).pairs if k < n_cols and edge[r, k]]
+    r, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return rows[r], cols[k], costs[r, k]
+
+
+def _ranks(groups: np.ndarray, n_groups: int):
+    """For items labelled with ``groups`` in [0, n_groups): each item's rank
+    among the items of its group in index order, the item indices sorted by
+    group, and each group's size and start in that order."""
+    order = np.argsort(groups, kind="stable")
+    sizes = np.bincount(groups, minlength=n_groups)
+    starts = np.cumsum(sizes) - sizes
+    ranks = np.empty(len(groups), dtype=np.intp)
+    ranks[order] = np.arange(len(groups)) - np.repeat(starts, sizes)
+    return ranks, order, sizes, starts
+
+
+def _components(row_of: np.ndarray, col_of: np.ndarray, n_rows: int, n_cols: int):
+    """Each row's and each column's connected component in a bipartite
+    graph, and the component count; components are numbered by first row.
+
+    Edge e joins row ``row_of[e]`` and column ``col_of[e]``; ``row_of`` is
+    non-decreasing and every row and column has an edge.  Each row starts
+    labelled with its own index.  Minima over each column's edges, then over
+    each row's, spread the smallest label through a component, and each row
+    then takes its label's label, so a few passes cover a long path.
+    """
+    row_starts = _ranks(row_of, n_rows)[3]
+    _, by_col, _, col_starts = _ranks(col_of, n_cols)
+    rows_by_col = row_of[by_col]
+    label = np.arange(n_rows)
+    while True:
+        col_label = np.minimum.reduceat(label[rows_by_col], col_starts)
+        new = np.minimum.reduceat(col_label[col_of], row_starts)
+        new = new[new]  # labels only fall, so a label's label is no larger
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots = label == np.arange(n_rows)
+    component = np.cumsum(roots) - 1
+    return component[label], component[col_label], int(roots.sum())
+
+
+def _gamma(edges, k_x: int, k_y: int, c: float, cuts: dict):
+    """The optimal detected-pair set γ of every sample for each p of
+    ``cuts`` (which maps p to :func:`_cut_powers`), as ``{p: (row, column,
+    cost)}`` arrays: truth slot i of sample k is row ``k * K_x + i`` and
+    estimate slot j column ``k * K_y + j``.
+
+    ``edges`` are (sample, truth slot, estimate slot, distance) arrays in
+    ascending (sample, truth) order, the pairs closer than c.  Any other pair
+    costs ``c**p``, as much as leaving both its targets unpaired, so γ splits
+    into the connected components of the edges.  An edge whose two ends
+    have no other edge is forced: every optimum takes it.  The other edges fall into the
+    components of :func:`_components`, each with its truths and estimates
+    in slot order.  Those within the enumeration limits are stacked by shape
+    for :func:`_enumerated_gamma`; the others, and those whose optimum it
+    finds unclear, go one at a time to :func:`_component_pairs`.  Both
+    realize the tie rule of :class:`GospaBreakdown` on each component.
+    """
+    sample, truth, estimate, distance = edges
+    rows, cols = sample * k_x + truth, sample * k_y + estimate
+    forced = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
+    stacks, singles = [], []  # the unforced components' blocks of distances
+    if not forced.all():
+        free = ~forced
+        row_keys, row_of = np.unique(rows[free], return_inverse=True)
+        col_keys, col_of = np.unique(cols[free], return_inverse=True)
+        row_comp, col_comp, n_comp = _components(row_of, col_of, len(row_keys), len(col_keys))
+        local_row, row_order, n_r, row_start = _ranks(row_comp, n_comp)
+        local_col, col_order, n_c, col_start = _ranks(col_comp, n_comp)
+        edge_comp, edge_row, edge_col = row_comp[row_of], local_row[row_of], local_col[col_of]
+        free_distance = distance[free]
+        # one stack per shape within the enumeration limits; any other
+        # component is a stack of its own
+        fits = _enumerable(n_r, n_c)
+        keys, stack_of = np.unique(np.where(fits, n_r * (n_c.max() + 1) + n_c,
+                                            -1 - np.arange(n_comp)), return_inverse=True)
+        layer, by_stack, n_members, member_start = _ranks(stack_of, len(keys))
+        _, edges_by_stack, n_edges, edge_start = _ranks(stack_of[edge_comp], len(keys))
+        for k in range(len(keys)):
+            members = by_stack[member_start[k]:member_start[k] + n_members[k]]
+            mine = edges_by_stack[edge_start[k]:edge_start[k] + n_edges[k]]
+            n, m = n_r[members[0]], n_c[members[0]]
+            block = np.full((len(members), n, m), np.inf)  # no edge: out of reach
+            block[layer[edge_comp[mine]], edge_row[mine], edge_col[mine]] = free_distance[mine]
+            stack = (block, row_keys[row_order[row_start[members, None] + np.arange(n)]],
+                     col_keys[col_order[col_start[members, None] + np.arange(m)]])
+            if fits[members[0]]:
+                stacks.append(stack)
+            else:
+                singles.extend(zip(*stack))  # a stack of one
+    forced_rows, forced_cols, forced_distances = rows[forced], cols[forced], distance[forced]
+    gammas = {}
+    for p, (_, cut_entry) in cuts.items():
+        pairs = [(forced_rows, forced_cols, forced_distances ** p)]
+        unclear_blocks = []
+        for block, truths, estimates in stacks:
+            chosen, pair_costs, unclear = _enumerated_gamma(block, c, p, cut_entry)
+            g, r = np.nonzero((chosen < block.shape[2]) & ~unclear[:, None])
+            pairs.append((truths[g, r], estimates[g, chosen[g, r]], pair_costs[g, r]))
+            unclear_blocks.extend(zip(block[unclear], truths[unclear], estimates[unclear]))
+        pairs.extend(_component_pairs(block, truths, estimates, c, p, cut_entry)
+                     for block, truths, estimates in singles + unclear_blocks)
+        gammas[p] = pairs[0] if len(pairs) == 1 else tuple(map(np.concatenate, zip(*pairs)))
+    return gammas
 
 
 def _slot_sums(slots: np.ndarray) -> np.ndarray:
-    """Each row's sum, accumulated left to right like the sums of
-    :func:`_totals`; 0.0 for rows of no slots."""
-    return np.cumsum(slots, axis=1)[:, -1] if slots.shape[1] else np.zeros(len(slots))
+    """Each row's sum, accumulated left to right; 0.0 for rows of no slots."""
+    return slots.cumsum(axis=1)[:, -1] if slots.shape[1] else np.zeros(len(slots))
 
 
 def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.ndarray,
-                   n_y: np.ndarray, cut_entry: float, cut_p: float, alphas) -> dict:
-    """GOSPA**p at each of ``alphas`` for every sample of a padded stack,
-    summed in the order of :func:`_totals`, so that each sum is
-    bit-identical to its result.
+                   n_y: np.ndarray, cut_entry: float, cut_p: float, alphas):
+    """GOSPA**p at each of ``alphas`` for every sample, the one summer of
+    the package, and with ``alpha == 2`` each sample's localization cost.
 
-    ``pairs`` holds the detected pairs of all samples as (sample, truth,
-    estimate, cost) arrays; truths and estimates index the slots of
-    ``x_present`` and ``y_present``, and ``n_x`` and ``n_y`` count each
-    sample's present slots.  Each sum is a cumulative sum along the slots,
-    which accumulates left to right: a slot holds its pair's cost, the cost
-    entry when its target is present and unpaired, or 0.0 when it is
-    absent, and adding 0.0 is exact.
+    ``pairs`` are γ as :func:`_gamma` gives it, ``n_x`` and ``n_y`` count
+    each sample's present slots.  Each sum accumulates left to right along
+    the slots: a slot holds its pair's cost, the cost entry when its target
+    is present and unpaired, or 0.0 (exact to add) when it is absent.  A
+    total beyond the float range raises ValueError, with no NumPy warning.
     """
-    sample, truth, estimate, cost = pairs
-    totals = {}
-    if 2.0 in alphas:
-        localization = np.zeros(x_present.shape)
-        localization[sample, truth] = cost
-        detected = np.bincount(sample, minlength=len(x_present))
-        totals[2.0] = _slot_sums(localization) + (cut_p / 2.0) * (
-            (n_x - detected) + (n_y - detected))
-    if alphas - {2.0}:
-        # the complete assignment of the smaller set, as in _totals
-        x_smaller = n_x <= n_y
-        lap_total = np.zeros(len(x_present))
-        for present, index, smaller in ((x_present, truth, x_smaller),
-                                        (y_present, estimate, ~x_smaller)):
-            if smaller.any():
+    row, col, cost = pairs
+    totals, localization = {}, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 2.0 in alphas:
+            slots = np.zeros(x_present.shape)
+            slots.reshape(-1)[row] = cost
+            localization = _slot_sums(slots)
+            detected = np.bincount(row // x_present.shape[1], minlength=len(x_present))
+            totals[2.0] = localization + (cut_p / 2.0) * ((n_x - detected) + (n_y - detected))
+        if alphas - {2.0}:
+            # the complete assignment of the smaller set, in its index order;
+            # a target outside gamma is paired at the cut-off
+            sums = []
+            for present, index in ((x_present, row), (y_present, col)):
                 slots = np.where(present, cut_entry, 0.0)
-                slots[sample, index] = cost
-                lap_total[smaller] = _slot_sums(slots[smaller])
-        for alpha in alphas - {2.0}:
-            totals[alpha] = lap_total + (cut_p / alpha) * np.abs(n_y - n_x)
-    return totals
+                slots.reshape(-1)[index] = cost
+                sums.append(_slot_sums(slots))
+            lap_total = np.where(n_x <= n_y, *sums)
+            for alpha in alphas - {2.0}:
+                totals[alpha] = lap_total + (cut_p / alpha) * np.abs(n_y - n_x)
+    if not all(np.isfinite(total).all() for total in totals.values()):
+        raise ValueError("cost matrix entries must be finite")
+    return totals, localization
 
 
-def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
-                  y_present: np.ndarray, base: str, c: float):
-    """The pairs of present targets closer than c in every sample of a
-    padded stack, as (sample, truth slot, estimate slot, distance) arrays.
-
-    Candidates are the pairs within reach of each other on the coordinate
-    along which the targets spread widest, compared over blocks of at most
-    ``_PADDED_BLOCK_CELLS`` slot pairs; an absent target sits at NaN there,
-    within reach of nothing.  Both named base distances are at least the
-    difference on one coordinate, up to rounding that the relative slack of
-    the reach covers, unless that difference is so small that its square
-    underflows, and every such pair is a candidate.  The candidates'
-    distances come from :func:`_distances`, as in :func:`_evaluate`.
+def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, c: float, alpha: float,
+           requests: dict[float, Sequence[str]], cuts: dict):
+    """The requested metrics of every sample from its edges, which are as
+    :func:`_gamma` takes them: the one solver behind :func:`gospa`,
+    :func:`ospa` and the Monte Carlo estimators.  ``x_present`` and
+    ``y_present`` mark each sample's present slots.  Returns ``{(name, p):
+    values}``, one value per sample, and ``{p: (γ, localization)}`` from
+    :func:`_gamma` and :func:`_padded_totals`.
     """
-    n_s, k_x = x_present.shape
-    if not (k_x and y_present.shape[1]):  # no slot pairs, so no edges
-        none = np.zeros(0, dtype=np.intp)
-        return none, none, none, np.zeros(0)
-    axis = int(np.argmax(np.ptp(np.concatenate([xs, ys], axis=1), axis=(0, 1))))
-    x_line = np.where(x_present, xs[:, :, axis], np.nan)
-    y_line = np.where(y_present, ys[:, :, axis], np.nan)
-    reach = max(c * (1.0 + 1e-9), 1e-150)
-    step = max(1, _PADDED_BLOCK_CELLS // (k_x * y_present.shape[1]))
-    parts = []
-    for lo in range(0, n_s, step):
-        gap = np.abs(x_line[lo:lo + step, :, None] - y_line[lo:lo + step, None, :])
-        sample, truth, estimate = np.nonzero(gap <= reach)
-        parts.append((sample + lo, truth, estimate))
-    sample, truth, estimate = (np.concatenate(column) for column in zip(*parts))
-    distance = _distances(xs[sample, truth] - ys[sample, estimate], base)
-    edge = distance < c
-    return sample[edge], truth[edge], estimate[edge], distance[edge]
+    n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
+    gammas = _gamma(edges, x_present.shape[1], y_present.shape[1], c, cuts)
+    values, details = {}, {}
+    for p, names in requests.items():
+        cut_p, cut_entry = cuts[p]
+        totals, localization = _padded_totals(
+            gammas[p], x_present, y_present, n_x, n_y, cut_entry, cut_p,
+            {alpha if name == "gospa" else 1.0 for name in names})
+        details[p] = (gammas[p], localization)
+        for name in names:
+            total_p = totals[alpha if name == "gospa" else 1.0].tolist()
+            if name == "ospa":
+                values[name, p] = [(t / n) ** (1.0 / p) if n else 0.0
+                                   for t, n in zip(total_p, np.maximum(n_x, n_y).tolist())]
+            else:
+                values[name, p] = [t ** (1.0 / p) for t in total_p]
+    return values, details
+
+
+def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
+              alpha: float, requests: dict[float, Sequence[str]]) -> dict:
+    """GOSPA (at ``alpha``), uOSPA and OSPA of one pair of sets: the
+    one-sample case of :func:`_solve`, on the edges of :func:`_cut_off_graph`.
+
+    ``requests`` maps each exponent p to the metric names wanted at it,
+    from "gospa", "uospa" and "ospa".  Returns ``{(name, p): value}``; with
+    ``alpha == 2`` a "gospa" entry comes with a ("decomposition", p) entry,
+    ``(gamma, missed, false, localization_p, half_cut_p)``.
+    """
+    c = float(c)  # an integer c would make the cost entry c**p a wrapping int64 power
+    n_x, n_y = len(xs), len(ys)
+    # both sets empty cost 0 whatever c**p is
+    cuts = {p: _cut_powers(c, p) if n_x or n_y else (0.0, 0.0) for p in requests}
+    present = np.ones((1, n_x), dtype=bool), np.ones((1, n_y), dtype=bool)
+    values, details = _solve(_cut_off_graph(xs, ys, base, c), *present, c, alpha, requests, cuts)
+    values = {key: value[0] for key, value in values.items()}
+    for p, ((truth, estimate, _), localization) in details.items():
+        if localization is not None:  # a truth's row is its index, an estimate's column too
+            order = np.argsort(truth)
+            gamma = tuple(zip(truth[order].tolist(), estimate[order].tolist()))
+            values["decomposition", p] = (gamma, n_x - len(gamma), n_y - len(gamma),
+                                          float(localization[0]), cuts[p][0] / 2.0)
+    return values
+
+
+def _evaluate_each(pairs, base: BaseDistance, c: float, alpha: float,
+                   requests: dict[float, Sequence[str]]) -> dict:
+    """:func:`_evaluate` for each (truths, estimates) pair, as
+    ``{(name, p): values}`` for the requested names, one value per pair."""
+    evaluated = [_evaluate(x, y, base, c, alpha, requests) for x, y in pairs]
+    return {(name, p): [values[name, p] for values in evaluated]
+            for p, names in requests.items() for name in names}
 
 
 def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
                      y_present: np.ndarray, base: BaseDistance, c: float, alpha: float,
                      requests: dict[float, Sequence[str]]) -> dict:
-    """:func:`_evaluate` for each sample of a padded stack: the one batched
-    kernel of the Monte Carlo estimators.
+    """:func:`_evaluate` for each sample of a padded stack: the kernel of
+    the Monte Carlo estimators, :func:`_solve` on the edges of
+    :func:`_padded_edges`.
 
     Sample k's truths are ``xs[k][x_present[k]]`` and its estimates
     ``ys[k][y_present[k]]``; ``xs`` has shape (samples, K_x, D) and
     ``x_present`` (samples, K_x), and likewise for the estimates, where K_x
     or K_y may be 0.  Returns ``{(name, p): values}`` for the requested
     names, one value per sample, each bit-identical to what
-    :func:`_evaluate` gives.
-
-    The edges of every sample are found at once, and its forced pairs
-    taken as they are.  What remains of a sample is the union of its other
-    components, solved by :func:`_enumerated_gamma` together with the
-    samples whose remainder has the same shape.  The components are
-    disjoint and the tie rule acts on each alone, so the first cheapest
-    injection of the union is the set that :func:`_evaluate` takes
-    component by component.  A sample whose remainder is beyond the
-    enumeration limits or whose optimum is unclear goes through
-    :func:`_evaluate`, and so does every sample of a stack with a callable
-    base distance, more than ``_PADDED_BLOCK_CELLS`` slot pairs or a cost
-    entry beyond the float range.
+    :func:`_evaluate` gives.  A stack with a callable base distance, more
+    than ``_PADDED_BLOCK_CELLS`` slot pairs per sample or a ``c**p`` beyond
+    the float range is evaluated one sample at a time.
     """
-    n_s, k_x = x_present.shape
-    k_y = y_present.shape[1]
+    k_x, k_y = x_present.shape[1], y_present.shape[1]
     c = float(c)
     try:
         cuts = {p: _cut_powers(c, p) for p in requests}
@@ -600,63 +605,8 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
         samples = zip(xs, x_present, ys, y_present)
         return _evaluate_each(((x[xp], y[yp]) for x, xp, y, yp in samples),
                               base, c, alpha, requests)
-    sample, truth, estimate, distance = _padded_edges(xs, x_present, ys, y_present, base, c)
-    row_key, col_key = sample * k_x + truth, sample * k_y + estimate
-    forced = ((np.bincount(row_key, minlength=n_s * k_x)[row_key] == 1)
-              & (np.bincount(col_key, minlength=n_s * k_y)[col_key] == 1))
-    free = ~forced
-    # each sample's remainder: the truths and estimates of its unforced
-    # edges, numbered from 0 within the sample in index order
-    rest_rows, local_row = np.unique(row_key[free], return_inverse=True)
-    rest_cols, local_col = np.unique(col_key[free], return_inverse=True)
-    n_rows = np.bincount(rest_rows // k_x, minlength=n_s)
-    n_cols = np.bincount(rest_cols // k_y, minlength=n_s)
-    row_start, col_start = np.cumsum(n_rows) - n_rows, np.cumsum(n_cols) - n_cols
-    free_sample, free_distance = sample[free], distance[free]
-    local_row = local_row - row_start[free_sample]
-    local_col = local_col - col_start[free_sample]
-    fits = (n_rows > 0) & _enumerable(n_rows, n_cols)
-    unsure = (n_rows > 0) & ~fits
-    shapes = n_rows * (k_y + 1) + n_cols
-    groups = []
-    for shape in np.unique(shapes[fits]).tolist():
-        members = np.flatnonzero(fits & (shapes == shape))
-        n_r, n_c = divmod(shape, k_y + 1)
-        position = np.full(n_s, -1)
-        position[members] = np.arange(len(members))
-        mine = position[free_sample] >= 0
-        # pairs that are no edge stay at +inf, out of reach
-        block = np.full((len(members), n_r, n_c), np.inf)
-        block[position[free_sample[mine]], local_row[mine], local_col[mine]] = free_distance[mine]
-        truths = rest_rows[row_start[members, None] + np.arange(n_r)] - k_x * members[:, None]
-        estimates = rest_cols[col_start[members, None] + np.arange(n_c)] - k_y * members[:, None]
-        groups.append((members, block, truths, estimates))
-    n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
-    n_max = np.maximum(n_x, n_y).tolist()
-    values = {}
-    for p, names in requests.items():
-        cut_p, cut_entry = cuts[p]
-        pairs = [(sample[forced], truth[forced], estimate[forced], distance[forced] ** p)]
-        for members, block, truths, estimates in groups:
-            chosen, pair_costs, unclear = _enumerated_gamma(block, c, p, cut_entry)
-            unsure[members[unclear]] = True
-            g, r = np.nonzero(chosen < block.shape[2])
-            pairs.append((members[g], truths[g, r], estimates[g, chosen[g, r]], pair_costs[g, r]))
-        totals = _padded_totals([np.concatenate(column) for column in zip(*pairs)],
-                                x_present, y_present, n_x, n_y, cut_entry, cut_p,
-                                {alpha if name == "gospa" else 1.0 for name in names})
-        for name in names:
-            total_p = totals[alpha if name == "gospa" else 1.0].tolist()
-            if name == "ospa":
-                values[name, p] = [(t / n) ** (1.0 / p) if n else 0.0
-                                   for t, n in zip(total_p, n_max)]
-            else:
-                values[name, p] = [t ** (1.0 / p) for t in total_p]
-    for k in np.flatnonzero(unsure).tolist():
-        exact = _evaluate(xs[k][x_present[k]], ys[k][y_present[k]], base, c, alpha, requests)
-        for key in values:
-            values[key][k] = exact[key]
-    return values
+    edges = _padded_edges(xs, x_present, ys, y_present, base, c)
+    return _solve(edges, x_present, y_present, c, alpha, requests, cuts)[0]
 
 
 def cutoff_distance(x, y, c: float, base_distance: BaseDistance = "euclidean") -> float:
@@ -679,8 +629,8 @@ def gospa(x, y, params: GospaParams) -> GospaBreakdown:
     decomposition and the detected-pair assignment when
     ``params.alpha == 2``; for other alpha values only ``total`` is set.
     Both sets empty gives 0; if one set is empty the distance is
-    ``((c**p / alpha) * cardinality) ** (1/p)``.  A ``c**p`` that overflows
-    a float raises ValueError, unless both sets are empty.
+    ``((c**p / alpha) * cardinality) ** (1/p)``.  A ``c**p`` (unless both
+    sets are empty) or a total to the power p that overflows raises ValueError.
 
     On cost ties the detected pairs follow the rule stated on
     :class:`GospaBreakdown`: truths in ascending index order each take the

@@ -34,7 +34,8 @@ models differ only in existence probabilities, such as the twelve Table 1
 scenarios, draw the same points and existence uniforms, so
 :func:`run_table1` draws each chunk once for all of them and compares the
 uniforms with each scenario's own probabilities.  Every chunk is then one
-padded stack, solved by one call of ``metrics._evaluate_padded``.  Layout
+padded stack, solved by one call of ``metrics._evaluate_padded``: the
+solver of :func:`gospa.metrics.gospa` run on all its samples at once.  Layout
 v3 replaced v2, which drew from a ``PCG64`` generator per sample, so every
 seeded estimate changed within Monte Carlo error.
 """

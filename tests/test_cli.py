@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -247,6 +248,66 @@ class TestGoldenOutput:
             "assignment (truth->estimate): 0->0")
 
 
+def clustered_point_files(tmp_path):
+    """Point files whose pairs closer than c = 2 form complete clusters far
+    apart: lone pairs and clusters of 2 x 2, 3 x 3, 2 x 3, 5 x 4 and 6 x 6
+    targets, the last two beyond the enumeration limits, with every
+    target's index shuffled."""
+    rng = np.random.default_rng(17)
+    shapes = [(1, 1)] * 6 + [(2, 2)] * 4 + [(3, 3)] * 3 + [(2, 3), (5, 4), (6, 6), (1, 0)]
+    truths, estimates = [], []
+    for site, (n_x, n_y) in enumerate(shapes):
+        centre = np.array([100.0 * site, 0.0])
+        truths.extend(centre + rng.uniform(0.0, 0.5, (n_x, 2)))
+        estimates.extend(centre + rng.uniform(0.0, 0.5, (n_y, 2)))
+    return (write_points(tmp_path / "truth.json", rng.permutation(truths)),
+            write_points(tmp_path / "estimate.json", rng.permutation(estimates)))
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+# SHA-256 of the whole stdout of two full-precision runs, and the first 8
+# hex digits of each cell's digest, to name the first cell that moved.
+FULL_PRECISION_GOLDEN = {
+    "table1": ("cc2a27024188b7c77fc7e8a2e2ffd3a4c115f1b9a2c057be887c8be1a605b21a",
+               "d3c40a30 a1b7bbba 05b8f55d ae8c0ece bd248813 4236805f 45297cb6 2660251c "
+               "366dbcba 469e89d7 cdab410c 2eb38b5c 1f58cbf6 99dc4f05 c335b0d8 09697ab8 "
+               "e04a8db4 4c00e92e 23ce9f08 82503240 e602bd0d bd206c7c ef4e8e90 84dd23a9 "
+               "7dbc238a 755e5e5c 13e09d58 385e6273 682e8900 b57b3bb5 c0139f13 fb82220b "
+               "3994bbea 1fe73076 bcd7e5a5 08bab9e2 2e6d81b7 9854947f a2b52c07 af621ae2 "
+               "d0be608e 38510773 37de4f6e ce0168c6 40c3b7c8 2d92dab7 79f2c945 93515819 "
+               "f51d75e3 a9933d01 406a2154 f3c9527e 8aabb38c 40f695a4 3e24af23 b0d75173 "
+               "20ecd152 813e2b7d 5856c2be b583ab75 2a8ed353 eddb41f1 07b7fc1e 3d1c9417 "
+               "424d528f 4bf485a1 159da41d 33055940 91e826a6 f63ac586 44a5f255 338a3e6f"),
+    "compute": ("190409279a775d8df9b3e7ef404e9b1dffcb1dc3c8217d5e7bd66e94fd883dcd",
+                "9b08b924 689a654e a49863a2 7a61b537 76a50887 97bb341d 00452610 2d10dffd"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FULL_PRECISION_GOLDEN))
+def test_full_precision_stdout_is_pinned(capsys, tmp_path, command):
+    if command == "table1":
+        argv = ["table1", "--samples", "1000", "--seed", "1"]
+    else:
+        argv = ["compute", *clustered_point_files(tmp_path), "--c", "2", "--p", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--precision", "17")
+    assert code == 0
+    whole, cells = FULL_PRECISION_GOLDEN[command]
+    if hashlib.sha256(out.encode()).hexdigest() == whole:
+        return
+    document = json.loads(out)
+    named = ([(f"{cell['metric']} p={cell['p']} missed={cell['n_missed']} "
+               f"false={cell['n_false']}", cell) for cell in document["cells"]]
+             if command == "table1" else list(document.items()))
+    expected = cells.split()
+    moved = [name for k, (name, value) in enumerate(named)
+             if k >= len(expected) or _digest(value)[:8] != expected[k]]
+    pytest.fail(f"{command} stdout changed; first differing cell: "
+                f"{moved[0] if moved else 'none (the layout changed)'}")
+
+
 class TestMean:
     @pytest.fixture
     def degenerate_models(self, tmp_path):
@@ -435,6 +496,19 @@ def test_an_overflowing_cut_off_power_prints_only_the_error(tmp_path, remote_mod
     done = subprocess.run(
         [sys.executable, "-m", "gospa", command, *inputs, "--c", c, "--p", p],
         capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: cost matrix entries must be finite\n"
+
+
+def test_an_overflowing_total_prints_only_the_error(tmp_path):
+    # c**p is finite, but the GOSPA sum (c**p / 2) * 4 is not
+    truth = write_points(tmp_path / "x.json", [[1e3 * k, 0.0] for k in range(4)])
+    estimate = tmp_path / "y.json"
+    estimate.write_text(json.dumps({"dimension": 2, "points": []}))
+    done = subprocess.run(
+        [sys.executable, "-m", "gospa", "compute", truth, str(estimate), "--c", "1e308",
+         "--p", "1"], capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: cost matrix entries must be finite\n"

@@ -22,6 +22,7 @@ from gospa.metrics import (
 )
 
 from oracles import (
+    euclidean,
     gospa_alpha2_assignment_oracle,
     gospa_alpha2_gamma_oracle,
     gospa_permutation_form,
@@ -469,7 +470,7 @@ class TestComponentGamma:
         def no_search(*args):
             raise AssertionError("every edge is forced; no component is left")
 
-        monkeypatch.setattr(metrics, "_connected_components", no_search)
+        monkeypatch.setattr(metrics, "_components", no_search)
         truth = [[0.0, 0.0], [50.0, 0.0], [100.0, 0.0]]
         estimate = [[1.0, 0.0], [50.0, 2.0], [200.0, 0.0]]
         result = gospa(truth, estimate, GospaParams(c=8.0, alpha=2.0, p=1.0))
@@ -653,7 +654,7 @@ def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base
     for alpha in (2.0, 0.5):
         expected = [metrics._evaluate(x, y, base, c, alpha, requests) for x, y in zip(xs, ys)]
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "_evaluate", None)  # any scalar solve would fail
+            patch.setattr(metrics, "solve_full_assignment", None)  # any LAP solve would fail
             got = evaluate_stack(xs, ys, base, c, alpha, requests)
         for key, values in got.items():
             assert values == [e[key] for e in expected]
@@ -663,14 +664,21 @@ def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base
                                             (2, 3, manhattan)])
 def test_other_stacks_take_the_scalar_kernel(monkeypatch, n_x, n_y, base):
     # every truth within c of every estimate, so no pair is forced and each
-    # sample's remainder is the whole sample: beyond the enumeration limits
-    # for the named base, and never enumerated for a callable one
+    # sample is one component: beyond the enumeration limits for the named
+    # base, so solved by one LAP per sample, and solved sample by sample
+    # through _evaluate for a callable one
     rng = np.random.default_rng(3)
     xs, ys = rng.normal(scale=0.1, size=(5, n_x, 2)), rng.normal(scale=0.1, size=(5, n_y, 2))
     calls = []
-    evaluate = metrics._evaluate
-    monkeypatch.setattr(metrics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
-    monkeypatch.setattr(metrics, "_enumerated_gamma", None)
+    if callable(base):
+        evaluate = metrics._evaluate
+        monkeypatch.setattr(metrics, "_evaluate",
+                            lambda *args: calls.append(1) or evaluate(*args))
+    else:
+        solve = metrics.solve_full_assignment
+        monkeypatch.setattr(metrics, "solve_full_assignment",
+                            lambda *args: calls.append(1) or solve(*args))
+        monkeypatch.setattr(metrics, "_enumerated_gamma", None)
     assert_matches_evaluate(xs, ys, base, 1.0, 2.0, {2.0: ALL_NAMES})
     assert len(calls) == 2 * len(xs)  # the reference in the helper, then the stack
     present = (np.ones(xs.shape[:2], dtype=bool), np.ones(ys.shape[:2], dtype=bool))
@@ -706,6 +714,16 @@ def test_enumeration_takes_the_tie_rule_and_hands_ties_on(stack, c, p):
             assert unclear[k]
     assert_matches_evaluate(xs, ys, "manhattan", c, 2.0, {p: ALL_NAMES})
     assert_matches_evaluate(xs, ys, "manhattan", c, 1.0, {p: ALL_NAMES})
+
+
+def test_enumeration_sums_that_overflow_go_to_the_assignment_solver():
+    # every gain d - c**p is near -1e308, so each full injection's sum
+    # overflows to -inf; the optimum pairs each truth with its neighbour
+    x = np.array([[0.0, 0.0], [1e307, 0.0], [2e307, 0.0], [3e307, 0.0]])
+    y = x[[1, 0, 3, 2]] + 1e300
+    assert_matches_evaluate(x[None], y[None], "manhattan", 1e308, 2.0, {1.0: ALL_NAMES})
+    detected = gospa(x, y, GospaParams(c=1e308, p=1.0, base_distance="manhattan"))
+    assert detected.assignment.pairs == ((0, 1), (1, 0), (2, 3), (3, 2))
 
 
 def test_a_cost_entry_beyond_the_float_range_is_a_value_error():
@@ -766,7 +784,7 @@ def test_padded_general_position_needs_no_scalar_solve(monkeypatch, base, dim):
         expected = [metrics._evaluate(x[xp], y[yp], base, c, alpha, requests)
                     for x, xp, y, yp in zip(xs, x_present, ys, y_present)]
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "_evaluate", None)  # any scalar solve would fail
+            patch.setattr(metrics, "solve_full_assignment", None)  # any LAP solve would fail
             got = metrics._evaluate_padded(xs, x_present, ys, y_present, base, c, alpha,
                                            requests)
         for key, values in got.items():
@@ -790,31 +808,176 @@ def test_padded_stack_beyond_the_block_size_is_solved_per_sample(monkeypatch):
 def test_padded_lattice_ties_reach_the_scalar_kernel(seed, n_s, k_x, k_y, c, p):
     # integer coordinates, Manhattan distances and an integer cut-off keep
     # every cost exact, so ties are real ties, and each must be solved by
-    # _evaluate; the tie rule then makes every value bit-identical
+    # _component_pairs; the tie rule then makes every value bit-identical
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 5, (n_s, k_x, 2)).astype(float)
     ys = rng.integers(0, 5, (n_s, k_y, 2)).astype(float)
     x_present, y_present = rng.random((n_s, k_x)) < 0.7, rng.random((n_s, k_y)) < 0.7
     c = float(c)
-    solved = []
-    evaluate = metrics._evaluate
+    for alpha in (2.0, 1.0):
+        assert_padded_matches_evaluate(xs, x_present, ys, y_present, "manhattan", c, alpha,
+                                       {p: ALL_NAMES})
+    solved = set()  # the samples of the components that reach the LAP
+    component_pairs = metrics._component_pairs
 
-    def recording(x, y, *args):
-        solved.append((x.tobytes(), y.tobytes()))
-        return evaluate(x, y, *args)
+    def recording(block, rows, cols, *args):
+        solved.update((rows // k_x).tolist())  # a truth's key is sample * K_x + slot
+        return component_pairs(block, rows, cols, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "_evaluate", recording)
-        for alpha in (2.0, 1.0):
-            assert_padded_matches_evaluate(xs, x_present, ys, y_present, "manhattan", c, alpha,
-                                           {p: ALL_NAMES})
-    for x, xp, y, yp in zip(xs, x_present, ys, y_present):
+        patch.setattr(metrics, "_component_pairs", recording)
+        metrics._evaluate_padded(xs, x_present, ys, y_present, "manhattan", c, 2.0,
+                                 {p: ALL_NAMES})
+    for k, (x, xp, y, yp) in enumerate(zip(xs, x_present, ys, y_present)):
         x, y = x[xp], y[yp]
         costs = sorted(
             sum(manhattan(x[i], y[j]) ** p - c ** p for i, j in pairs)
             for pairs in iter_assignment_sets(len(x), len(y))
             if all(manhattan(x[i], y[j]) < c for i, j in pairs))
         if len(costs) > 1 and costs[0] == costs[1]:
-            # once for the reference and at least once inside the kernel
-            assert solved.count((x.tobytes(), y.tobytes())) >= 4
+            assert k in solved
 
+
+# --- totals beyond the float range ------------------------------------------
+
+FAR_TRUTHS = [[0.0, 0.0], [1e3, 0.0], [2e3, 0.0], [3e3, 0.0]]
+
+
+@pytest.mark.parametrize("metric", [
+    lambda: gospa(FAR_TRUTHS, [], GospaParams(c=1e308, p=1.0)),
+    # a stop-gap: this OSPA is finite (about 7.5e307), only its sum
+    # 3 * c**p is not; costs scaled by a power of two would return it
+    lambda: ospa(FAR_TRUTHS, [[5e3, 0.0]], c=1e308, p=1.0),
+], ids=["gospa", "ospa"])
+def test_a_total_beyond_the_float_range_is_a_value_error(metric):
+    with pytest.raises(ValueError, match="cost matrix entries must be finite"):
+        metric()
+
+
+# --- the one solver: components by label propagation --------------------------
+
+def count_lap_calls(monkeypatch):
+    calls = []
+    solve = metrics.solve_full_assignment
+    monkeypatch.setattr(metrics, "solve_full_assignment",
+                        lambda matrix: calls.append(np.shape(matrix)) or solve(matrix))
+    return calls
+
+
+def test_separate_small_clusters_need_no_lap(monkeypatch):
+    # three 2 x 2 clusters far apart in each sample: three enumerable
+    # components, although their union has six truths
+    rng = np.random.default_rng(4)
+    sites = np.repeat([[0.0, 0.0], [50.0, 0.0], [100.0, 0.0]], 2, axis=0)
+    xs = sites + rng.uniform(0.0, 1.0, (5, 6, 2))
+    ys = sites + rng.uniform(0.0, 1.0, (5, 6, 2))
+    c, p = 2.0, 2.0
+    calls = count_lap_calls(monkeypatch)
+    got = evaluate_stack(xs, ys, "euclidean", c, 2.0, {p: ALL_NAMES})
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        detected = gospa(x, y, GospaParams(c=c, alpha=2.0, p=p))
+        assert got["gospa", p][k] == detected.total
+        assert got["uospa", p][k] == gospa(x, y, GospaParams(c=c, alpha=1.0, p=p)).total
+        assert got["ospa", p][k] == ospa(x, y, c=c, p=p)
+        assert len(detected.assignment.pairs) == 6
+        assert detected.assignment.pairs == gospa_alpha2_gamma_oracle(x, y, c, p)
+        assert detected.total == pytest.approx(gospa_alpha2_assignment_oracle(x, y, c, p),
+                                               rel=1e-12)
+    assert calls == []
+
+
+def test_only_large_or_unclear_components_take_the_lap(monkeypatch):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(0.0, 8.0, (1000, 2)), rng.uniform(0.0, 8.0, (1000, 2))
+    c, p = 0.16, 2.0
+    distances = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    rows, cols = np.nonzero(distances < c)
+    graph = coo_matrix((np.ones(len(rows)), (rows, 1000 + cols)), shape=(2000, 2000))
+    _, label = connected_components(graph, directed=False)
+    expected = 0
+    for component in np.unique(label[rows]):
+        truths = np.flatnonzero(label[:1000] == component)
+        estimates = np.flatnonzero(label[1000:] == component)
+        if len(truths) == len(estimates) == 1:  # a forced pair
+            continue
+        if not metrics._enumerable(len(truths), len(estimates)):
+            expected += 1
+            continue
+        # within the limits: the LAP takes it only when its optimum is unclear
+        block = distances[np.ix_(truths, estimates)]
+        costs = sorted(sum(block[i, j] ** p - c ** p for i, j in pairs)
+                       for pairs in iter_assignment_sets(*block.shape)
+                       if all(block[i, j] < c for i, j in pairs))
+        expected += costs[1] - costs[0] <= metrics._ENUMERATION_TIE_GAP * c ** p
+    calls = count_lap_calls(monkeypatch)
+    detected = gospa(x, y, GospaParams(c=c, alpha=2.0, p=p))
+    distance = ospa(x, y, c=c, p=p)
+    assert 0 < len(calls) == 2 * expected
+    # the values that one LAP per component gave this input
+    assert detected.total.hex() == "0x1.0a58a7fef1519p+2"
+    assert distance.hex() == "0x1.0d860556cf8edp-3"
+
+
+@st.composite
+def mixed_component_stacks(draw):
+    """A padded stack whose targets sit around three sites far apart, so a
+    sample's components mix forced pairs, small clusters and clusters
+    beyond the enumeration limits; on the integer lattice, with the
+    Manhattan distance and an integer c, costs tie exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_s, k_x, k_y = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lattice = draw(st.booleans())
+    stack = []
+    for k in (k_x, k_y):
+        offsets = (rng.integers(0, 3, (n_s, k, 2)).astype(float) if lattice
+                   else rng.uniform(0.0, 2.5, (n_s, k, 2)))
+        stack += [20.0 * rng.integers(0, 3, (n_s, k, 1)) + offsets,
+                  rng.random((n_s, k)) < draw(st.sampled_from([0.6, 1.0]))]
+    c = float(draw(st.integers(1, 3))) if lattice else draw(st.floats(0.5, 3.0))
+    return stack, "manhattan" if lattice else "euclidean", c
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_component_stacks(), st.sampled_from([1.0, 2.0, 3.5]))
+def test_each_samples_gamma_is_the_oracles(case, p):
+    (xs, x_present, ys, y_present), base, c = case
+    edges = metrics._padded_edges(xs, x_present, ys, y_present, base, c)
+    k_x, k_y = x_present.shape[1], y_present.shape[1]
+    row, col, _ = metrics._gamma(edges, k_x, k_y, c, {p: metrics._cut_powers(c, p)})[p]
+    for k, (x, xp, y, yp) in enumerate(zip(xs, x_present, ys, y_present)):
+        # the oracle numbers each sample's present targets from 0
+        x_index, y_index = np.cumsum(xp) - 1, np.cumsum(yp) - 1
+        mine = row // k_x == k
+        gamma = sorted(zip(x_index[row[mine] % k_x].tolist(), y_index[col[mine] % k_y].tolist()))
+        distance = manhattan if base == "manhattan" else euclidean
+        assert tuple(gamma) == gospa_alpha2_gamma_oracle(x[xp].tolist(), y[yp].tolist(), c, p,
+                                                         distance=distance)
+
+
+def test_label_propagation_finds_the_connected_components():
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(2)
+    # random graphs, and a path of 300 edges that single-step propagation
+    # would take 150 passes to cover
+    cases = [(np.sort(rng.integers(0, n, e)), rng.integers(0, m, e))
+             for n, m, e in rng.integers(1, 40, (100, 3))]
+    cases.append((np.arange(300) // 2, (np.arange(300) + 1) // 2))
+    for rows, cols in cases:
+        row_keys, row_of = np.unique(rows, return_inverse=True)
+        col_keys, col_of = np.unique(cols, return_inverse=True)
+        n_rows, n_cols = len(row_keys), len(col_keys)
+        row_comp, col_comp, n_comp = metrics._components(row_of, col_of, n_rows, n_cols)
+        graph = coo_matrix((np.ones(len(rows)), (row_of, n_rows + col_of)),
+                           shape=(n_rows + n_cols,) * 2)
+        count, label = connected_components(graph, directed=False)
+        assert n_comp == count
+        # the same partition, numbered in order of each component's first row
+        assert len(set(zip(np.concatenate([row_comp, col_comp]).tolist(),
+                           label.tolist()))) == count
+        assert np.array_equal(np.unique(row_comp, return_index=True)[1],
+                              np.sort(np.unique(row_comp, return_index=True)[1]))

@@ -843,3 +843,18 @@ class TestRunTable1:
 def test_metric_estimate_is_plain_record():
     est = MetricEstimate(value=1.0, standard_error=0.1, samples=10)
     assert est.value == 1.0 and est.standard_error == 0.1 and est.samples == 10
+
+
+def test_an_overflowing_total_is_a_value_error_without_warnings():
+    # four sure truths 1,000 apart against one likely-absent estimate: with
+    # c = 1e308 and p = 1 each sample's GOSPA sum (c**p / 2) * 4 overflows.
+    # A stop-gap: costs scaled by a power of two would give finite answers.
+    truth = _point_model([[1e3 * k, 0.0] for k in range(4)])
+    estimate = _point_model([[5e3, 0.0]], [0.1])
+    sampler = IndependentPairSampler(truth, estimate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in ("gospa", "uospa", "ospa"):
+            with pytest.raises(ValueError, match="cost matrix entries must be finite"):
+                estimate_metric(sampler, GospaParams(c=1e308, p=1.0),
+                                EstimatorConfig(samples=50, master_seed=1), variant)
