@@ -321,10 +321,10 @@ def _enumerated_gamma(distances: np.ndarray, c: float, p: float, cut_entry: floa
     ``argmin`` takes the first cheapest, which is the tie rule of
     :class:`GospaBreakdown`.
 
-    Returns ``(chosen, pair_costs, unclear)``, each row one component: each
-    truth's estimate (``n_y`` when unpaired), the cost of that pair, and
-    whether the runner-up lies within ``_ENUMERATION_TIE_GAP * c**p`` of the
-    optimum or the sums overflowed.
+    Returns ``(chosen, costs, unclear)``, each row one component: each
+    truth's estimate (``n_y`` when unpaired), each pair's cost ``min(d, c)**p``,
+    and whether the runner-up lies within ``_ENUMERATION_TIE_GAP * c**p`` of
+    the optimum or the sums overflowed.
     """
     n_s, n_x, n_y = distances.shape
     costs = np.minimum(distances, c) ** p  # array powers, as every cost entry
@@ -337,14 +337,13 @@ def _enumerated_gamma(distances: np.ndarray, c: float, p: float, cut_entry: floa
             objective += gains[:, i, injections[:, i]]
         best_index = objective.argmin(axis=1)
         chosen = injections[best_index]
-        pair_costs = np.take_along_axis(costs, np.minimum(chosen, n_y - 1)[:, :, None], axis=2)
         # the runner-up is the cheapest injection once the best is set aside;
         # there are at least two, as every truth may stay unpaired
         samples = np.arange(n_s)
         best = objective[samples, best_index]
         objective[samples, best_index] = np.inf
         clear = objective.min(axis=1) - best > _ENUMERATION_TIE_GAP * cut_entry
-    return chosen, pair_costs[:, :, 0], ~(clear & np.isfinite(best))
+    return chosen, costs, ~(clear & np.isfinite(best))
 
 
 def _component_pairs(block: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -372,42 +371,42 @@ def _component_pairs(block: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return rows[r], cols[k], costs[r, k]
 
 
-def _ranks(groups: np.ndarray, n_groups: int):
-    """For items labelled with ``groups`` in [0, n_groups): each item's rank
-    among the items of its group in index order, the item indices sorted by
-    group, and each group's size and start in that order."""
-    order = np.argsort(groups, kind="stable")
-    sizes = np.bincount(groups, minlength=n_groups)
-    starts = np.cumsum(sizes) - sizes
-    ranks = np.empty(len(groups), dtype=np.intp)
-    ranks[order] = np.arange(len(groups)) - np.repeat(starts, sizes)
-    return ranks, order, sizes, starts
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``keys``, not empty, starts."""
+    return np.concatenate(([True], keys[1:] != keys[:-1]))
 
 
-def _components(row_of: np.ndarray, col_of: np.ndarray, n_rows: int, n_cols: int):
-    """Each row's and each column's connected component in a bipartite
-    graph, and the component count; components are numbered by first row.
+def _components(rows: np.ndarray, cols: np.ndarray):
+    """The connected components of a bipartite graph whose edge e joins row
+    ``rows[e]`` and column ``cols[e]``, with ``rows`` non-decreasing.
 
-    Edge e joins row ``row_of[e]`` and column ``col_of[e]``; ``row_of`` is
-    non-decreasing and every row and column has an edge.  Each row starts
-    labelled with its own index.  Minima over each column's edges, then over
-    each row's, spread the smallest label through a component, and each row
-    then takes its label's label, so a few passes cover a long path.
+    Returns the distinct rows and columns in ascending order with each
+    edge's index among them, ``(row_keys, row_of, col_keys, col_of)``, and
+    each distinct row's and column's component and the component count;
+    components are numbered by first row.  Each row starts labelled with its
+    own index.  Minima over each column's edges, then over each row's,
+    spread the smallest label through a component, and each row then takes
+    its label's label, so a few passes cover a long path.
     """
-    row_starts = _ranks(row_of, n_rows)[3]
-    _, by_col, _, col_starts = _ranks(col_of, n_cols)
+    new_row = _first_of_runs(rows)
+    by_col = cols.argsort(kind="stable")
+    new_col = _first_of_runs(cols[by_col])
+    row_of, col_of = new_row.cumsum() - 1, np.empty(len(cols), dtype=np.intp)
+    col_of[by_col] = new_col.cumsum() - 1
+    row_starts, col_starts = new_row.nonzero()[0], new_col.nonzero()[0]
     rows_by_col = row_of[by_col]
-    label = np.arange(n_rows)
+    label = np.arange(len(row_starts))
     while True:
         col_label = np.minimum.reduceat(label[rows_by_col], col_starts)
         new = np.minimum.reduceat(col_label[col_of], row_starts)
         new = new[new]  # labels only fall, so a label's label is no larger
-        if np.array_equal(new, label):
+        if (new == label).all():
             break
         label = new
-    roots = label == np.arange(n_rows)
-    component = np.cumsum(roots) - 1
-    return component[label], component[col_label], int(roots.sum())
+    roots = label == np.arange(len(label))
+    component = roots.cumsum() - 1
+    return ((rows[new_row], row_of, cols[by_col][new_col], col_of),
+            (component[label], component[col_label], int(component[-1]) + 1))
 
 
 def _gamma(edges, k_x: int, k_y: int, c: float, cuts: dict):
@@ -420,59 +419,75 @@ def _gamma(edges, k_x: int, k_y: int, c: float, cuts: dict):
     ascending (sample, truth) order, the pairs closer than c.  Any other pair
     costs ``c**p``, as much as leaving both its targets unpaired, so γ splits
     into the connected components of the edges.  An edge whose two ends
-    have no other edge is forced: every optimum takes it.  The other edges fall into the
-    components of :func:`_components`, each with its truths and estimates
-    in slot order.  Those within the enumeration limits are stacked by shape
-    for :func:`_enumerated_gamma`; the others, and those whose optimum it
-    finds unclear, go one at a time to :func:`_component_pairs`.  Both
+    have no other edge is forced: every optimum takes it.  One sort puts the
+    components of the others (:func:`_components`) that have one shape
+    within the enumeration limits side by side, each with its truths and
+    then its estimates in slot order, as a stack for
+    :func:`_enumerated_gamma`.  Any other component, and one whose optimum
+    that finds unclear, goes alone to :func:`_component_pairs`.  Both
     realize the tie rule of :class:`GospaBreakdown` on each component.
     """
     sample, truth, estimate, distance = edges
     rows, cols = sample * k_x + truth, sample * k_y + estimate
     forced = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
-    stacks, singles = [], []  # the unforced components' blocks of distances
+    stacks = []  # the unforced components' blocks of distances
     if not forced.all():
         free = ~forced
-        row_keys, row_of = np.unique(rows[free], return_inverse=True)
-        col_keys, col_of = np.unique(cols[free], return_inverse=True)
-        row_comp, col_comp, n_comp = _components(row_of, col_of, len(row_keys), len(col_keys))
-        local_row, row_order, n_r, row_start = _ranks(row_comp, n_comp)
-        local_col, col_order, n_c, col_start = _ranks(col_comp, n_comp)
-        edge_comp, edge_row, edge_col = row_comp[row_of], local_row[row_of], local_col[col_of]
-        free_distance = distance[free]
-        # one stack per shape within the enumeration limits; any other
-        # component is a stack of its own
-        fits = _enumerable(n_r, n_c)
-        keys, stack_of = np.unique(np.where(fits, n_r * (n_c.max() + 1) + n_c,
-                                            -1 - np.arange(n_comp)), return_inverse=True)
-        layer, by_stack, n_members, member_start = _ranks(stack_of, len(keys))
-        _, edges_by_stack, n_edges, edge_start = _ranks(stack_of[edge_comp], len(keys))
-        for k in range(len(keys)):
-            members = by_stack[member_start[k]:member_start[k] + n_members[k]]
-            mine = edges_by_stack[edge_start[k]:edge_start[k] + n_edges[k]]
-            n, m = n_r[members[0]], n_c[members[0]]
-            block = np.full((len(members), n, m), np.inf)  # no edge: out of reach
-            block[layer[edge_comp[mine]], edge_row[mine], edge_col[mine]] = free_distance[mine]
-            stack = (block, row_keys[row_order[row_start[members, None] + np.arange(n)]],
-                     col_keys[col_order[col_start[members, None] + np.arange(m)]])
-            if fits[members[0]]:
-                stacks.append(stack)
-            else:
-                singles.extend(zip(*stack))  # a stack of one
+        (row_keys, row_of, col_keys, col_of), (row_comp, col_comp, n_comp) = _components(
+            rows[free], cols[free])
+        n_rows = len(row_keys)
+        n_r, n_c = np.bincount(row_comp, minlength=n_comp), np.bincount(col_comp, minlength=n_comp)
+        shape = np.where(_enumerable(n_r, n_c), n_r * (_ENUMERATION_MAX_INJECTIONS + 1) + n_c, -1)
+        # the components by shape code (-1 beyond the enumeration limits),
+        # each with its rows and then its columns in slot order
+        item_comp = np.concatenate([row_comp, col_comp])
+        order = np.lexsort((np.arange(len(item_comp)) >= n_rows, item_comp, shape[item_comp]))
+        sorted_comp, cells = item_comp[order], n_r * n_c
+        first = _first_of_runs(sorted_comp)
+        comps = sorted_comp[first]
+        start, cell_start = np.empty((2, n_comp), dtype=np.intp)
+        start[comps], cell_start[comps] = first.nonzero()[0], cells[comps].cumsum() - cells[comps]
+        rank = np.empty(len(order), dtype=np.intp)  # within the component's rows or columns
+        rank[order] = np.arange(len(order)) - start[sorted_comp]
+        rank[n_rows:] -= n_r[col_comp]
+        # the components' blocks of distances, in that order in one buffer
+        edge_comp = row_comp[row_of]
+        buffer = np.full(int(cells.sum()), np.inf)  # no edge: out of reach
+        buffer[cell_start[edge_comp] + rank[row_of] * n_c[edge_comp]
+               + rank[n_rows + col_of]] = distance[free]
+        shapes = shape[comps]
+        heads = (_first_of_runs(shapes) | (shapes < 0)).nonzero()[0]
+        for head, end in zip(heads.tolist(), heads[1:].tolist() + [len(comps)]):
+            comp, count = comps[head], end - head
+            n, m = int(n_r[comp]), int(n_c[comp])
+            items = order[start[comp]:start[comp] + count * (n + m)].reshape(count, -1)
+            block = buffer[cell_start[comp]:cell_start[comp] + count * n * m]
+            stacks.append((shapes[head] >= 0, block.reshape(count, n, m),
+                           row_keys[items[:, :n]], col_keys[items[:, n:] - n_rows]))
     forced_rows, forced_cols, forced_distances = rows[forced], cols[forced], distance[forced]
     gammas = {}
     for p, (_, cut_entry) in cuts.items():
         pairs = [(forced_rows, forced_cols, forced_distances ** p)]
-        unclear_blocks = []
-        for block, truths, estimates in stacks:
-            chosen, pair_costs, unclear = _enumerated_gamma(block, c, p, cut_entry)
-            g, r = np.nonzero((chosen < block.shape[2]) & ~unclear[:, None])
-            pairs.append((truths[g, r], estimates[g, chosen[g, r]], pair_costs[g, r]))
-            unclear_blocks.extend(zip(block[unclear], truths[unclear], estimates[unclear]))
-        pairs.extend(_component_pairs(block, truths, estimates, c, p, cut_entry)
-                     for block, truths, estimates in singles + unclear_blocks)
+        for fits, block, truths, estimates in stacks:
+            unclear = slice(None)  # a stack beyond the limits holds one component
+            if fits:
+                chosen, costs, unclear = _enumerated_gamma(block, c, p, cut_entry)
+                g, r = np.nonzero((chosen < block.shape[2]) & ~unclear[:, None])
+                pairs.append((truths[g, r], estimates[g, chosen[g, r]], costs[g, r, chosen[g, r]]))
+            pairs.extend(_component_pairs(*component, c, p, cut_entry)
+                         for component in zip(block[unclear], truths[unclear], estimates[unclear]))
         gammas[p] = pairs[0] if len(pairs) == 1 else tuple(map(np.concatenate, zip(*pairs)))
     return gammas
+
+
+def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
+    """Each value to the power ``exponent`` by libm's ``pow``, as Python's
+    ``**`` takes it, and OverflowError where a power exceeds the float range;
+    NumPy's array power differs from it in the last bit for some values."""
+    if exponent == 1.0:  # pow(v, 1) is v
+        return values
+    return np.fromiter(map(math.pow, values.tolist(), itertools.repeat(exponent)),
+                       dtype=float, count=len(values))
 
 
 def _slot_sums(slots: np.ndarray) -> np.ndarray:
@@ -522,8 +537,8 @@ def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, c: float, alpha:
     :func:`_gamma` takes them: the one solver behind :func:`gospa`,
     :func:`ospa` and the Monte Carlo estimators.  ``x_present`` and
     ``y_present`` mark each sample's present slots.  Returns ``{(name, p):
-    values}``, one value per sample, and ``{p: (γ, localization)}`` from
-    :func:`_gamma` and :func:`_padded_totals`.
+    values}``, a float array of one value per sample, and ``{p: (γ,
+    localization)}`` from :func:`_gamma` and :func:`_padded_totals`.
     """
     n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
     gammas = _gamma(edges, x_present.shape[1], y_present.shape[1], c, cuts)
@@ -535,12 +550,10 @@ def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, c: float, alpha:
             {alpha if name == "gospa" else 1.0 for name in names})
         details[p] = (gammas[p], localization)
         for name in names:
-            total_p = totals[alpha if name == "gospa" else 1.0].tolist()
-            if name == "ospa":
-                values[name, p] = [(t / n) ** (1.0 / p) if n else 0.0
-                                   for t, n in zip(total_p, np.maximum(n_x, n_y).tolist())]
-            else:
-                values[name, p] = [t ** (1.0 / p) for t in total_p]
+            total = totals[alpha if name == "gospa" else 1.0]
+            if name == "ospa":  # where both sets are empty, the total is 0.0
+                total = total / np.maximum(np.maximum(n_x, n_y), 1)
+            values[name, p] = _powers(total, 1.0 / p)
     return values, details
 
 
@@ -560,7 +573,7 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
     cuts = {p: _cut_powers(c, p) if n_x or n_y else (0.0, 0.0) for p in requests}
     present = np.ones((1, n_x), dtype=bool), np.ones((1, n_y), dtype=bool)
     values, details = _solve(_cut_off_graph(xs, ys, base, c), *present, c, alpha, requests, cuts)
-    values = {key: value[0] for key, value in values.items()}
+    values = {key: float(value[0]) for key, value in values.items()}
     for p, ((truth, estimate, _), localization) in details.items():
         if localization is not None:  # a truth's row is its index, an estimate's column too
             order = np.argsort(truth)
@@ -575,7 +588,7 @@ def _evaluate_each(pairs, base: BaseDistance, c: float, alpha: float,
     """:func:`_evaluate` for each (truths, estimates) pair, as
     ``{(name, p): values}`` for the requested names, one value per pair."""
     evaluated = [_evaluate(x, y, base, c, alpha, requests) for x, y in pairs]
-    return {(name, p): [values[name, p] for values in evaluated]
+    return {(name, p): np.array([values[name, p] for values in evaluated])
             for p, names in requests.items() for name in names}
 
 
@@ -586,26 +599,34 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     the Monte Carlo estimators, :func:`_solve` on the edges of
     :func:`_padded_edges`.
 
-    Sample k's truths are ``xs[k][x_present[k]]`` and its estimates
-    ``ys[k][y_present[k]]``; ``xs`` has shape (samples, K_x, D) and
-    ``x_present`` (samples, K_x), and likewise for the estimates, where K_x
-    or K_y may be 0.  Returns ``{(name, p): values}`` for the requested
-    names, one value per sample, each bit-identical to what
-    :func:`_evaluate` gives.  A stack with a callable base distance, more
-    than ``_PADDED_BLOCK_CELLS`` slot pairs per sample or a ``c**p`` beyond
-    the float range is evaluated one sample at a time.
+    ``xs`` has shape (n, K_x, D) and ``x_present`` (copies * n, K_x), and
+    likewise for the estimates, where K_x or K_y may be 0: sample ``k * n +
+    s`` has the truths ``xs[s][x_present[k * n + s]]``.  The edges are found
+    once, among the targets present in any copy; each copy keeps those whose
+    two targets it holds, just as the points stacked once per copy would
+    give them.  Returns ``{(name, p): values}``, a float array of one value
+    per sample, each bit-identical to what :func:`_evaluate` gives.  A
+    stack with a callable base distance, more than ``_PADDED_BLOCK_CELLS``
+    slot pairs per sample or a ``c**p`` beyond the float range is evaluated
+    one sample at a time.
     """
-    k_x, k_y = x_present.shape[1], y_present.shape[1]
+    (n, k_x), k_y = xs.shape[:2], ys.shape[1]
+    copies = len(x_present) // n
     c = float(c)
     try:
         cuts = {p: _cut_powers(c, p) for p in requests}
     except ValueError:  # each sample then raises it, unless both its sets are empty
         cuts = None
     if callable(base) or k_x * k_y > _PADDED_BLOCK_CELLS or cuts is None:
-        samples = zip(xs, x_present, ys, y_present)
+        samples = zip(itertools.cycle(xs), x_present, itertools.cycle(ys), y_present)
         return _evaluate_each(((x[xp], y[yp]) for x, xp, y, yp in samples),
                               base, c, alpha, requests)
-    edges = _padded_edges(xs, x_present, ys, y_present, base, c)
+    sample, truth, estimate, distance = _padded_edges(
+        xs, x_present.reshape(copies, n, k_x).any(axis=0),
+        ys, y_present.reshape(copies, n, k_y).any(axis=0), base, c)
+    held = sample + n * np.arange(copies)[:, None]  # each edge's sample in each copy
+    copy, edge = (x_present[held, truth] & y_present[held, estimate]).nonzero()
+    edges = held[copy, edge], truth[edge], estimate[edge], distance[edge]
     return _solve(edges, x_present, y_present, c, alpha, requests, cuts)[0]
 
 

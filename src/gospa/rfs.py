@@ -33,11 +33,11 @@ is bit-identical to the same sample drawn in a chunk.  Pair samplers whose
 models differ only in existence probabilities, such as the twelve Table 1
 scenarios, draw the same points and existence uniforms, so
 :func:`run_table1` draws each chunk once for all of them and compares the
-uniforms with each scenario's own probabilities.  Every chunk is then one
-padded stack, solved by one call of ``metrics._evaluate_padded``: the
-solver of :func:`gospa.metrics.gospa` run on all its samples at once.  Layout
-v3 replaced v2, which drew from a ``PCG64`` generator per sample, so every
-seeded estimate changed within Monte Carlo error.
+uniforms with each scenario's own probabilities.  Each chunk's points and
+one copy of the masks per scenario go to one ``metrics._evaluate_padded``
+call, which finds the close pairs once and solves every copy as
+:func:`gospa.metrics.gospa` would.  Layout v3 replaced v2 (a ``PCG64``
+generator per sample); every seeded estimate changed within Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .metrics import GospaParams, _evaluate_each, _evaluate_padded, _is_finite, as_state_array
+from .metrics import (GospaParams, _evaluate_each, _evaluate_padded, _is_finite, _powers,
+                      as_state_array)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -393,21 +394,18 @@ def _chunk_values(samplers: Sequence[PairSampler], keys: np.ndarray, base, c: fl
     ``{(name, p): values}``, sampler by sampler and each in key order.
 
     Pair samplers of independent models that differ only in existence
-    probabilities draw the chunk once and stack its points once per
-    sampler, each copy with that sampler's existence masks.  Any other
-    sampler comes alone, is called once per key and has its sets padded to
-    the largest.  The stack is solved by one ``metrics._evaluate_padded``
-    call; a chunk whose sets differ in dimension, one sample at a time.
+    probabilities draw the chunk once; its points come once, with one copy
+    of the existence masks per sampler.  Any other sampler comes alone, is
+    called once per key and has its sets padded to the largest.  The stack
+    is solved by one ``metrics._evaluate_padded`` call; a chunk whose sets
+    differ in dimension, one sample at a time.
     """
     first = samplers[0]
     if isinstance(first, IndependentPairSampler):
         (xs, x_uniforms), (ys, y_uniforms) = first._raw_draw(keys)
-        copies = (len(samplers), 1, 1)
         return _evaluate_padded(
-            np.tile(xs, copies),
-            np.concatenate([x_uniforms < sampler.truth._existence for sampler in samplers]),
-            np.tile(ys, copies),
-            np.concatenate([y_uniforms < sampler.estimate._existence for sampler in samplers]),
+            xs, np.concatenate([x_uniforms < sampler.truth._existence for sampler in samplers]),
+            ys, np.concatenate([y_uniforms < sampler.estimate._existence for sampler in samplers]),
             base, c, alpha, requests)
     pairs = [first.sample_pair(key) for key in keys.tolist()]
     dimensions = {points.shape[1] for pair in pairs for points in pair if len(points)}
@@ -430,9 +428,9 @@ def _padded(sets: list[np.ndarray], dimension: int) -> tuple[np.ndarray, np.ndar
     return stack, np.arange(stack.shape[1]) < sizes[:, None]
 
 
-def _outer_powers(values: list[float], p_prime: float) -> list[float]:
+def _outer_powers(values: np.ndarray, p_prime: float) -> np.ndarray:
     try:
-        return [value ** p_prime for value in values]
+        return _powers(values, p_prime)
     except OverflowError:
         raise ValueError(f"a metric value to the power p' = {p_prime:g} overflows "
                          "a float") from None
@@ -478,8 +476,8 @@ def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells,
             values = _chunk_values(samplers, _sample_keys(master_seed, start, stop), base, c,
                                    alpha, requests)
             for index, (metric, p, p_prime) in enumerate(cells):
-                powers[:, index, start:stop] = np.reshape(
-                    _outer_powers(values[metric, p], p_prime), (len(samplers), -1))
+                powers[:, index, start:stop] = _outer_powers(
+                    values[metric, p], p_prime).reshape(len(samplers), -1)
             del values  # before the next chunk's values are made
 
     _run_blocks(samples, workers, block)
@@ -576,10 +574,10 @@ def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0,
     twelve scenarios, built once per process, differ only in existence
     probabilities, so each chunk of samples is drawn once for all of them,
     each scenario compares the shared existence uniforms with its own
-    probabilities, and the twelve masked copies of the chunk are solved
-    together as one padded stack.  Each cell
-    equals what :func:`estimate_metric` returns for the corresponding
-    scenario, metric and exponent, bit for bit.
+    probabilities, and the chunk's points are solved once with the twelve
+    scenarios' masks.  Each cell equals what :func:`estimate_metric`
+    returns for the corresponding scenario, metric and exponent, bit for
+    bit.
     """
     cfg = EstimatorConfig(samples=samples, master_seed=master_seed)
     params = GospaParams(c=c)

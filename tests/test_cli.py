@@ -441,6 +441,51 @@ def test_mean_exact_stdout_on_clustered_models(capsys, tmp_path, options, worker
     assert out == CLUSTERED_MEAN_GOLDEN[options]
 
 
+# Roots and outer powers at p = 3.7, and an outer power at p = 1, are each
+# libm's pow; NumPy's array power differs from it in the last bit for some
+# values, which these digits would show.
+CLUSTERED_MEAN_POWER_GOLDEN = {
+    ("--p", "3.7", "--p-prime", "1.5", "--alpha", "0.5"): _lines(
+        "metric: gospa",
+        "c: 10   alpha: 0.5   p: 3.7000000000000002   p': 1.5",
+        "samples: 1000   seed: 3",
+        "value: 19.44915335925154",
+        "standard error: 0.054981641480847658"),
+    ("--p", "3.7", "--p-prime", "1.5", "--metric", "ospa"): _lines(
+        "metric: ospa",
+        "c: 10   alpha: 2   p: 3.7000000000000002   p': 1.5",
+        "samples: 1000   seed: 3",
+        "value: 6.4788698562317819",
+        "standard error: 0.012874766797670873"),
+    ("--p", "3.7", "--p-prime", "1.5", "--metric", "uospa"): _lines(
+        "metric: uospa",
+        "c: 10   alpha: 2   p: 3.7000000000000002   p': 1.5",
+        "samples: 1000   seed: 3",
+        "value: 18.068478976745354",
+        "standard error: 0.034365033955527799"),
+    ("--p", "1", "--p-prime", "2.5"): _lines(
+        "metric: gospa",
+        "c: 10   alpha: 2   p: 1   p': 2.5",
+        "samples: 1000   seed: 3",
+        "value: 179.89596419818488",
+        "standard error: 0.32660243559479485"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("options", sorted(CLUSTERED_MEAN_POWER_GOLDEN))
+def test_mean_powers_are_pinned_on_clustered_models(capsys, tmp_path, options, workers):
+    truth_doc, estimate_doc = clustered_model_documents(3, 50)
+    truth, estimate = tmp_path / "truth.json", tmp_path / "estimate.json"
+    truth.write_text(json.dumps(truth_doc))
+    estimate.write_text(json.dumps(estimate_doc))
+    code, out, _ = run_cli(capsys, "mean", str(truth), str(estimate), "--c", "10",
+                           "--samples", "1000", "--seed", "3", "--precision", "17",
+                           "--workers", workers, *options)
+    assert code == 0
+    assert out == CLUSTERED_MEAN_POWER_GOLDEN[options]
+
+
 @pytest.fixture
 def remote_models(tmp_path):
     """A sure truth at the origin and a likely-absent estimate 1e200 away."""

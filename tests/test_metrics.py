@@ -338,6 +338,35 @@ def test_as_state_array_shapes():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_scalar_results_are_python_floats():
+    x, y = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.3, 0.2], [0.8, 0.4]]
+    for p in (1.0, 2.0, 3.7):
+        breakdown = gospa(x, y, GospaParams(c=2.0, p=p))
+        assert type(breakdown.total) is float
+        assert type(breakdown.localization_cost_p) is float
+        assert type(gospa(x, y, GospaParams(c=2.0, alpha=1.0, p=p)).total) is float
+        assert type(ospa(x, y, c=2.0, p=p)) is float
+        assert type(ospa([], [], c=2.0, p=p)) is float
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.7, 400.0])
+def test_roots_are_pythons_powers(monkeypatch, power_bases, p):
+    # 0 to 3 truths per sample, no estimates: OSPA divides by the truth
+    # count, and a sample with no target has the total 0
+    present = np.arange(3) < (np.arange(len(power_bases)) % 4)[:, None]
+    totals = np.where(present.any(axis=1), power_bases, 0.0)
+    monkeypatch.setattr(metrics, "_padded_totals",
+                        lambda *args: ({2.0: totals, 1.0: totals}, None))
+    values, _ = metrics._solve(metrics._no_edges(), present, present[:, :0], 1.0, 2.0,
+                               {p: ALL_NAMES}, {p: (1.0, 1.0)})
+    roots = np.array([t ** (1.0 / p) for t in totals.tolist()])
+    assert values["gospa", p].tobytes() == values["uospa", p].tobytes() == roots.tobytes()
+    n = present.sum(axis=1).tolist()
+    ospa_roots = np.array([(t / k) ** (1.0 / p) if k else 0.0
+                           for t, k in zip(totals.tolist(), n)])
+    assert values["ospa", p].tobytes() == ospa_roots.tobytes()
+
+
 def test_overflowing_cutoff_power_is_a_value_error():
     with pytest.raises(ValueError, match="finite"):
         gospa([[0.0, 0.0]], [[100.0, 0.0]], GospaParams(c=8.0, p=400.0))
@@ -657,7 +686,7 @@ def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base
             patch.setattr(metrics, "solve_full_assignment", None)  # any LAP solve would fail
             got = evaluate_stack(xs, ys, base, c, alpha, requests)
         for key, values in got.items():
-            assert values == [e[key] for e in expected]
+            assert values.tolist() == [e[key] for e in expected]
 
 
 @pytest.mark.parametrize("n_x, n_y, base", [(5, 2, "euclidean"), (3, 10, "euclidean"),
@@ -732,7 +761,7 @@ def test_a_cost_entry_beyond_the_float_range_is_a_value_error():
         with pytest.raises(ValueError, match="finite"):
             evaluate_stack(*stack, "euclidean", 1e200, 2.0, {2.0: ALL_NAMES})
     assert evaluate_stack(xs[:, :0], ys[:, :0], "euclidean", 1e200, 2.0,
-                          {2.0: ALL_NAMES})["ospa", 2.0] == [0.0, 0.0]
+                          {2.0: ALL_NAMES})["ospa", 2.0].tolist() == [0.0, 0.0]
 
 
 # --- padded stacks -------------------------------------------------------------
@@ -788,7 +817,7 @@ def test_padded_general_position_needs_no_scalar_solve(monkeypatch, base, dim):
             got = metrics._evaluate_padded(xs, x_present, ys, y_present, base, c, alpha,
                                            requests)
         for key, values in got.items():
-            assert values == [e[key] for e in expected]
+            assert values.tolist() == [e[key] for e in expected]
 
 
 def test_padded_stack_beyond_the_block_size_is_solved_per_sample(monkeypatch):
@@ -836,6 +865,87 @@ def test_padded_lattice_ties_reach_the_scalar_kernel(seed, n_s, k_x, k_y, c, p):
             if all(manhattan(x[i], y[j]) < c for i, j in pairs))
         if len(costs) > 1 and costs[0] == costs[1]:
             assert k in solved
+
+
+# --- mask copies over one point stack -----------------------------------------
+
+def assert_copies_match_tiled_points(xs, x_present, ys, y_present, base, c, alpha, requests):
+    """``_evaluate_padded`` on one copy of the points with several copies of
+    the masks gives, bit for bit, what it gives on the points tiled once per
+    copy, or raises the same error."""
+    copies = len(x_present) // len(xs)
+    results = []
+    for stack in ((np.tile(xs, (copies, 1, 1)), x_present, np.tile(ys, (copies, 1, 1)), y_present),
+                  (xs, x_present, ys, y_present)):
+        try:
+            results.append(metrics._evaluate_padded(*stack, base, c, alpha, requests))
+        except ValueError as exc:
+            results.append(str(exc))
+    tiled, shared = results
+    if isinstance(tiled, str):
+        assert shared == tiled
+        return
+    assert set(shared) == set(tiled)
+    for key, values in tiled.items():
+        assert shared[key].tobytes() == values.tobytes(), key
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.sampled_from([1, 2, 3, 12]),
+       st.integers(0, 5), st.integers(0, 6), st.booleans(), st.sampled_from([1.0, 2.0, 3.5]))
+def test_mask_copies_over_one_point_stack_match_tiled_points(seed, n, copies, k_x, k_y, lattice,
+                                                             p):
+    rng = np.random.default_rng(seed)
+    if lattice:  # integer coordinates and Manhattan distances: real ties
+        xs = rng.integers(0, 5, (n, k_x, 2)).astype(float)
+        ys = rng.integers(0, 5, (n, k_y, 2)).astype(float)
+        base, c = "manhattan", float(rng.integers(1, 4))
+    else:
+        xs, _, ys, _ = clustered_stack(rng, n, k_x, k_y, 2, 2, 1.0, 1.0)
+        base, c = "euclidean", 2.0
+    x_present = rng.random((copies * n, k_x)) < 0.7
+    y_present = rng.random((copies * n, k_y)) < 0.7
+    empty = slice(n * int(rng.integers(copies)), None)  # a copy with no present target
+    x_present[empty][:n] = y_present[empty][:n] = False
+    for alpha in (2.0, 0.5):
+        assert_copies_match_tiled_points(xs, x_present, ys, y_present, base, c, alpha,
+                                         {p: ALL_NAMES, 1.0: ALL_NAMES})
+
+
+@pytest.mark.parametrize("k_x, k_y", [(0, 3), (3, 0), (0, 0)])
+def test_mask_copies_without_slots_match_tiled_points(k_x, k_y):
+    rng = np.random.default_rng(4)
+    xs, _, ys, _ = clustered_stack(rng, 5, k_x, k_y, 2, 2, 1.0, 1.0)
+    x_present, y_present = rng.random((15, k_x)) < 0.7, rng.random((15, k_y)) < 0.7
+    assert_copies_match_tiled_points(xs, x_present, ys, y_present, "euclidean", 2.0, 2.0,
+                                     {2.0: ALL_NAMES})
+
+
+@pytest.mark.parametrize("fallback", ["callable", "block", "overflow"])
+def test_mask_copies_take_the_fallbacks_on_tiled_points(monkeypatch, fallback):
+    rng = np.random.default_rng(8)
+    xs, _, ys, _ = clustered_stack(rng, 4, 3, 4, 2, 2, 1.0, 1.0)
+    masks = rng.random((12, 3)) < 0.7, rng.random((12, 4)) < 0.7
+    base, c = "euclidean", 2.0
+    if fallback == "callable":
+        base = lambda a, b: float(np.hypot(*(a - b)))  # noqa: E731
+    elif fallback == "block":
+        monkeypatch.setattr(metrics, "_PADDED_BLOCK_CELLS", 11)
+    else:  # c**p overflows: a sample raises unless both its sets are empty
+        c = 1e200
+    calls = []
+    evaluate = metrics._evaluate
+    monkeypatch.setattr(metrics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    for x_present, y_present in (masks, (masks[0] & False, masks[1] & False)):
+        calls.clear()
+        assert_copies_match_tiled_points(xs, x_present, ys, y_present, base, c, 2.0,
+                                         {2.0: ALL_NAMES})
+        assert calls  # each stack went one sample at a time
+        if fallback != "overflow" or not x_present.any():
+            assert len(calls) == 2 * 12
+            assert_padded_matches_evaluate(np.tile(xs, (3, 1, 1)), x_present,
+                                           np.tile(ys, (3, 1, 1)), y_present, base, c, 2.0,
+                                           {2.0: ALL_NAMES})
 
 
 # --- totals beyond the float range ------------------------------------------
@@ -971,7 +1081,8 @@ def test_label_propagation_finds_the_connected_components():
         row_keys, row_of = np.unique(rows, return_inverse=True)
         col_keys, col_of = np.unique(cols, return_inverse=True)
         n_rows, n_cols = len(row_keys), len(col_keys)
-        row_comp, col_comp, n_comp = metrics._components(row_of, col_of, n_rows, n_cols)
+        keys, (row_comp, col_comp, n_comp) = metrics._components(rows, cols)
+        assert all(map(np.array_equal, keys, (row_keys, row_of, col_keys, col_of)))
         graph = coo_matrix((np.ones(len(rows)), (row_of, n_rows + col_of)),
                            shape=(n_rows + n_cols,) * 2)
         count, label = connected_components(graph, directed=False)

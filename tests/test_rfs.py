@@ -628,6 +628,21 @@ def test_an_overflowing_outer_power_is_a_value_error(variant, c, p_prime):
                         EstimatorConfig(p_prime=p_prime, samples=50), variant=variant)
 
 
+@pytest.mark.parametrize("p_prime", [1.0, 2.0, 3.7, 400.0])
+def test_outer_powers_are_pythons_powers(power_bases, p_prime):
+    values, powers = [], []
+    for value in power_bases.tolist():
+        try:
+            powers.append(value ** p_prime)
+        except OverflowError:
+            continue
+        values.append(value)
+    assert rfs._outer_powers(np.array(values), p_prime).tobytes() == np.array(powers).tobytes()
+    if len(values) < len(power_bases):
+        with pytest.raises(ValueError, match="overflows"):
+            rfs._outer_powers(power_bases, p_prime)
+
+
 def test_standard_error_of_huge_values_is_finite_without_warnings():
     sampler = IndependentPairSampler(*REMOTE_PAIR)
     cfg = EstimatorConfig(p_prime=2.0, samples=50)
@@ -753,18 +768,27 @@ class TestRunTable1:
         assert draws == [chunk, chunk, chunk, chunk, 7, 7]
 
     def test_each_chunk_is_solved_by_one_padded_call(self, monkeypatch):
-        stacks = []
+        points, stacks, edge_stacks = [], [], []
         real_evaluate_padded = rfs._evaluate_padded
+        real_padded_edges = metrics._padded_edges
 
-        def counting(xs, *args):
-            stacks.append(len(xs))
-            return real_evaluate_padded(xs, *args)
+        def counting(xs, x_present, *args):
+            points.append(len(xs))
+            stacks.append(len(x_present))
+            return real_evaluate_padded(xs, x_present, *args)
+
+        def counting_edges(xs, *args):
+            edge_stacks.append(len(xs))
+            return real_padded_edges(xs, *args)
 
         monkeypatch.setattr(rfs, "_evaluate_padded", counting)
+        monkeypatch.setattr(metrics, "_padded_edges", counting_edges)
         chunk = rfs._chunk_size(table1_scenario(0, 0))
         run_table1(samples=600, master_seed=2)
-        # the twelve scenarios' copies of a chunk form one stack
+        # the twelve scenarios' masks of a chunk form one stack over one
+        # copy of its points, whose edges are found once
         assert stacks == [12 * chunk, 12 * chunk, 12 * (600 - 2 * chunk)]
+        assert points == edge_stacks == [chunk, chunk, 600 - 2 * chunk]
 
     def test_a_warm_run_builds_no_component(self, monkeypatch):
         run_table1(samples=2, master_seed=0)
