@@ -37,9 +37,10 @@ _SWEEP_MAX_SHARE = 0.25
 # most _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x.
 _ENUMERATION_MAX_TRUTHS = 4
 _ENUMERATION_MAX_INJECTIONS = 1024
-# A padded stack finds its edges over blocks of samples holding at most this
-# many truth-estimate slot pairs; a stack with more slot pairs per sample
-# than this is evaluated one sample at a time.
+# A padded stack compares only the truth-estimate slot pairs whose ranges
+# over the stack meet, over blocks of samples holding at most this many of
+# them (128 KB a float array); a stack with more slot pairs per sample than
+# this, met or not, is evaluated one sample at a time.
 _PADDED_BLOCK_CELLS = 16384
 # A component whose best and second-best detected-pair sets differ in cost by
 # at most this share of c**p is solved by the assignment solver instead, so
@@ -236,16 +237,37 @@ def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float)
     return np.zeros(len(truth), dtype=np.intp), truth, estimate, distance
 
 
+def _slot_pairs(x_line: np.ndarray, y_line: np.ndarray, reach: float):
+    """The (truth slot, estimate slot) pairs, as index arrays in ascending
+    (truth, estimate) order, whose ranges over a stack come within ``reach``
+    of each other, given each sample's coordinate of every slot as the rows
+    of ``x_line`` and ``y_line``, NaN where the slot is empty.
+
+    Rounded subtraction is monotone, so ``x_lo - y_hi`` is at most the
+    difference of the slots in any one sample and ``x_hi - y_lo`` at least
+    it, overflow to ±inf included: a pair within reach in any sample is
+    kept.  A slot empty in every sample has NaN ranges and meets nothing.
+    """
+    x_lo, x_hi = np.fmin.reduce(x_line), np.fmax.reduce(x_line)
+    y_lo, y_hi = np.fmin.reduce(y_line), np.fmax.reduce(y_line)
+    with np.errstate(over="ignore"):  # slots of different samples, never compared
+        near = (x_lo[:, None] - y_hi <= reach) & (x_hi[:, None] - y_lo >= -reach)
+    return near.nonzero()
+
+
 def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
                   y_present: np.ndarray, base: str, c: float):
     """The pairs of present targets closer than c in every sample of a
     padded stack, as (sample, truth slot, estimate slot, distance) arrays in
-    ascending (sample, truth) order.
+    ascending (sample, truth, estimate) order.
 
     Candidates are the pairs within reach of each other on the coordinate
-    along which the targets spread widest, compared over blocks of at most
-    ``_PADDED_BLOCK_CELLS`` slot pairs; an absent target sits at NaN there,
-    within reach of nothing.  Both named base distances are at least the
+    along which the targets spread widest; an absent target sits at NaN
+    there, within reach of nothing.  Only the slot pairs of
+    :func:`_slot_pairs`, whose ranges over the stack meet, are compared
+    sample by sample, over blocks of at most ``_PADDED_BLOCK_CELLS`` of
+    them, so a stack spread in space costs far less than all K_x * K_y
+    pairs in every sample.  Both named base distances are at least the
     difference on one coordinate, up to rounding that the relative slack of
     the reach covers, unless that difference is so small that its square
     underflows, and every such pair is a candidate.  The candidates'
@@ -258,13 +280,17 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     x_line = np.where(x_present, xs[:, :, axis], np.nan)
     y_line = np.where(y_present, ys[:, :, axis], np.nan)
     reach = max(c * (1.0 + 1e-9), 1e-150)
-    step = max(1, _PADDED_BLOCK_CELLS // (k_x * k_y))
+    truth, estimate = _slot_pairs(x_line, y_line, reach)
+    repeats = np.bincount(truth, minlength=k_x)  # truth slot i's column, once per pair
+    step = max(1, _PADDED_BLOCK_CELLS // max(1, len(truth)))
     parts = []
     for lo in range(0, n_s, step):
-        gap = np.abs(x_line[lo:lo + step, :, None] - y_line[lo:lo + step, None, :])
-        sample, truth, estimate = np.nonzero(gap <= reach)
-        parts.append((sample + lo, truth, estimate))
-    sample, truth, estimate = (np.concatenate(column) for column in zip(*parts))
+        gap = np.abs(np.repeat(x_line[lo:lo + step], repeats, axis=1)
+                     - y_line[lo:lo + step].take(estimate, axis=1))
+        sample, pair = np.nonzero(gap <= reach)
+        parts.append((sample + lo, pair))
+    sample, pair = (np.concatenate(column) for column in zip(*parts))
+    truth, estimate = truth[pair], estimate[pair]
     distance = _distances(xs.reshape(-1, dim).take(sample * k_x + truth, axis=0)
                           - ys.reshape(-1, dim).take(sample * k_y + estimate, axis=0), base)
     edge = distance < c

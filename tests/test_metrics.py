@@ -1,9 +1,11 @@
 """Tests for the GOSPA / OSPA metric family."""
 
+import collections
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1092,3 +1094,100 @@ def test_label_propagation_finds_the_connected_components():
                            label.tolist()))) == count
         assert np.array_equal(np.unique(row_comp, return_index=True)[1],
                               np.sort(np.unique(row_comp, return_index=True)[1]))
+
+
+def all_slot_pair_edges(xs, x_present, ys, y_present, base, c):
+    """:func:`metrics._padded_edges` on every truth-estimate slot pair: the
+    gap on the widest coordinate of each pair in each sample, then the
+    distance of each pair within reach."""
+    (n_s, k_x), (k_y, dim) = x_present.shape, ys.shape[1:]
+    if not (k_x and k_y):
+        return metrics._no_edges()
+    axis = metrics._widest_axis(xs, ys)
+    x_line = np.where(x_present, xs[:, :, axis], np.nan)
+    y_line = np.where(y_present, ys[:, :, axis], np.nan)
+    reach = max(c * (1.0 + 1e-9), 1e-150)
+    sample, truth, estimate = np.nonzero(np.abs(x_line[:, :, None] - y_line[:, None, :]) <= reach)
+    distance = metrics._distances(xs[sample, truth] - ys[sample, estimate], base)
+    edge = distance < c
+    return sample[edge], truth[edge], estimate[edge], distance[edge]
+
+
+@st.composite
+def edge_stacks(draw):
+    """A padded stack of slots each scattered around its own site, with one
+    sample or several, no truth or estimate slots, a slot empty in every
+    sample, and at one of four scales: spread in space, on the integer
+    lattice with ties at exactly c, near the reach floor of 1e-150, and near
+    the float limit, where differences of ranges overflow to ±inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_s = draw(st.sampled_from([1, 1, 2, 5, 40]))
+    k_x, k_y, dim = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(1, 3))
+    scale = draw(st.sampled_from(["spread", "lattice", "tiny", "huge"]))
+    base = "manhattan" if scale == "lattice" else draw(st.sampled_from(["euclidean", "manhattan"]))
+    stack = []
+    for k in (k_x, k_y):
+        if scale == "spread":
+            points = rng.uniform(0.0, 30.0, (1, k, dim)) + rng.normal(0.0, 2.0, (n_s, k, dim))
+            c = draw(st.floats(0.5, 8.0))
+        elif scale == "lattice":
+            points = (rng.integers(0, 6, (1, k, dim)) + rng.integers(0, 3, (n_s, k, dim))) * 1.0
+            c = float(draw(st.integers(1, 3)))
+        elif scale == "tiny":
+            c = draw(st.sampled_from([1e-152, 1e-150, 2e-150, 1e-148]))
+            points = (rng.uniform(0.0, 4.0, (1, k, dim)) + rng.uniform(0.0, 2.0, (n_s, k, dim))) * c
+        else:  # a slot keeps its signs in every sample, or not
+            signs = rng.choice([-1.0, 1.0], (n_s if draw(st.booleans()) else 1, k, dim))
+            points = signs * rng.uniform(0.8e308, 1.7e308, (n_s, k, dim))
+            c = draw(st.sampled_from([1.0, 1e300, 1.7e308]))
+        present = rng.random((n_s, k)) < draw(st.sampled_from([0.5, 1.0]))
+        if k and draw(st.booleans()):
+            present[:, rng.integers(k)] = False
+        stack += [points, present]
+    return stack, base, c
+
+
+def edges_and_warnings(find_edges, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        edges = find_edges(*args)
+    return edges, collections.Counter(str(warning.message) for warning in caught)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_stacks())
+def test_padded_edges_are_those_of_every_slot_pair(case):
+    stack, base, c = case
+    got, warned = edges_and_warnings(metrics._padded_edges, *stack, base, c)
+    expected, expected_warnings = edges_and_warnings(all_slot_pair_edges, *stack, base, c)
+    for column, reference in zip(got, expected):
+        assert column.dtype == reference.dtype and np.array_equal(column, reference)
+    # a difference of ranges that overflows warns of nothing
+    assert not warned - expected_warnings
+
+
+def test_slot_pairs_within_reach_exactly_are_kept():
+    reach = 2.0 * (1.0 + 1e-9)
+    beyond = np.nextafter(reach, np.inf)
+    lines = np.array([[reach, -reach, beyond, -beyond, np.nan]])
+    truth, estimate = metrics._slot_pairs(lines, np.zeros((1, 1)), reach)
+    assert truth.tolist() == [0, 1] and estimate.tolist() == [0, 0]
+    truth, estimate = metrics._slot_pairs(np.zeros((1, 1)), lines, reach)
+    assert truth.tolist() == [0, 0] and estimate.tolist() == [0, 1]
+
+
+def test_spread_stack_takes_the_gap_on_few_slot_pairs():
+    rng = np.random.default_rng(14)
+    sites = rng.uniform(0.0, 1000.0, (50, 2))
+    stack = [sites + rng.normal(0.0, 1.0, (100, 50, 2)), rng.random((100, 50)) < 0.85,
+             sites + rng.normal(0.0, 2.0, (50, 2)) + rng.normal(0.0, 1.0, (100, 50, 2)),
+             rng.random((100, 50)) < 0.85]
+    xs, x_present, ys, y_present = stack
+    axis = metrics._widest_axis(xs, ys)
+    truth, estimate = metrics._slot_pairs(np.where(x_present, xs[:, :, axis], np.nan),
+                                          np.where(y_present, ys[:, :, axis], np.nan), 10.0)
+    assert 50 <= len(truth) < 0.1 * 50 * 50
+    assert np.array_equal(np.lexsort((estimate, truth)), np.arange(len(truth)))
+    got = metrics._padded_edges(*stack, "euclidean", 10.0)
+    for column, reference in zip(got, all_slot_pair_edges(*stack, "euclidean", 10.0)):
+        assert np.array_equal(column, reference)

@@ -299,6 +299,28 @@ class TestDrawLayout:
                 assert np.array_equal(
                     sample_multi_bernoulli(sampler.truth, key), x)
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 6])
+    def test_points_are_the_column_broadcast_product(self, dimension):
+        rng = np.random.default_rng(40 + dimension)
+        means = rng.normal(0.0, 50.0, (7, dimension))
+        model = MultiBernoulli(tuple(
+            BernoulliComponent(0.5, m, a @ a.T + 0.1 * np.eye(dimension))
+            for m, a in zip(means, rng.normal(size=(7, dimension, dimension)))))
+        assert np.count_nonzero(model._scale_trils) == 7 * dimension * (dimension + 1) // 2
+        keys = rfs._sample_keys(5, 0, 97)
+        points, _ = model._draw(keys, 3)
+        # unit factors and zero means draw the standard normals themselves
+        unit = MultiBernoulli(tuple(
+            BernoulliComponent(0.5, np.zeros(dimension), np.eye(dimension)) for _ in range(7)))
+        normals, _ = unit._draw(keys, 3)
+        # the Cholesky product one normal column at a time, broadcast over
+        # every output coordinate
+        trils = model._scale_trils
+        noise = trils[:, :, 0] * normals[:, :, None, 0]
+        for j in range(1, dimension):
+            noise = noise + trils[:, :, j] * normals[:, :, None, j]
+        assert points.tobytes() == (model._means + noise).tobytes()
+
     def test_zero_covariance_component_gives_its_mean_exactly(self):
         mean = [0.1, -2.7, 1e-300]
         model = MultiBernoulli((
