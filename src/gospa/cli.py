@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -231,7 +232,10 @@ def _cmd_table1(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: parsing
+    leaves it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="gospa",
         description="GOSPA-family metrics between finite sets of targets and "

@@ -153,7 +153,9 @@ def _require_same_dimension(x: np.ndarray, y: np.ndarray) -> None:
 def _distances(diff: np.ndarray, base: str) -> np.ndarray:
     """Named base distances from coordinate differences, reduced over the
     last axis.  Every distance the kernel compares with c comes from here,
-    so the whole matrix and a gathered set of pairs agree bit for bit."""
+    so the whole matrix and a gathered set of pairs agree bit for bit.
+    Callers ignore overflow here: a difference or distance beyond the float
+    range is +inf, which is beyond c."""
     if base == "euclidean":
         return np.sqrt(np.einsum("...k,...k->...", diff, diff))
     return np.abs(diff).sum(axis=-1)
@@ -222,18 +224,20 @@ def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float)
     """
     if len(xs) == 0 or len(ys) == 0:
         return _no_edges()
-    candidates = None
-    if not callable(base) and len(xs) * len(ys) > _SWEEP_MIN_PAIRS:
-        candidates = _sweep_candidates(xs, ys, c)
-    if candidates is None:
-        distances = _base_distance_matrix(xs, ys, base)
-        truth, estimate = np.nonzero(distances < c)
-        distance = distances[truth, estimate]
-    else:
-        truth, estimate = candidates
-        distance = _distances(xs.take(truth, axis=0) - ys.take(estimate, axis=0), base)
-        close = distance < c
-        truth, estimate, distance = truth[close], estimate[close], distance[close]
+    # a coordinate difference beyond the float range is +inf, beyond c
+    with np.errstate(over="ignore"):
+        candidates = None
+        if not callable(base) and len(xs) * len(ys) > _SWEEP_MIN_PAIRS:
+            candidates = _sweep_candidates(xs, ys, c)
+        if candidates is None:
+            distances = _base_distance_matrix(xs, ys, base)
+            truth, estimate = np.nonzero(distances < c)
+            distance = distances[truth, estimate]
+        else:
+            truth, estimate = candidates
+            distance = _distances(xs.take(truth, axis=0) - ys.take(estimate, axis=0), base)
+            close = distance < c
+            truth, estimate, distance = truth[close], estimate[close], distance[close]
     return np.zeros(len(truth), dtype=np.intp), truth, estimate, distance
 
 
@@ -276,23 +280,25 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     (n_s, k_x), (k_y, dim) = x_present.shape, ys.shape[1:]
     if not (k_x and k_y):  # no slot pairs, so no edges
         return _no_edges()
-    axis = _widest_axis(xs, ys)
-    x_line = np.where(x_present, xs[:, :, axis], np.nan)
-    y_line = np.where(y_present, ys[:, :, axis], np.nan)
-    reach = max(c * (1.0 + 1e-9), 1e-150)
-    truth, estimate = _slot_pairs(x_line, y_line, reach)
-    repeats = np.bincount(truth, minlength=k_x)  # truth slot i's column, once per pair
-    step = max(1, _PADDED_BLOCK_CELLS // max(1, len(truth)))
-    parts = []
-    for lo in range(0, n_s, step):
-        gap = np.abs(np.repeat(x_line[lo:lo + step], repeats, axis=1)
-                     - y_line[lo:lo + step].take(estimate, axis=1))
-        sample, pair = np.nonzero(gap <= reach)
-        parts.append((sample + lo, pair))
-    sample, pair = (np.concatenate(column) for column in zip(*parts))
-    truth, estimate = truth[pair], estimate[pair]
-    distance = _distances(xs.reshape(-1, dim).take(sample * k_x + truth, axis=0)
-                          - ys.reshape(-1, dim).take(sample * k_y + estimate, axis=0), base)
+    # a coordinate difference beyond the float range is +inf, beyond c
+    with np.errstate(over="ignore"):
+        axis = _widest_axis(xs, ys)
+        x_line = np.where(x_present, xs[:, :, axis], np.nan)
+        y_line = np.where(y_present, ys[:, :, axis], np.nan)
+        reach = max(c * (1.0 + 1e-9), 1e-150)
+        truth, estimate = _slot_pairs(x_line, y_line, reach)
+        repeats = np.bincount(truth, minlength=k_x)  # truth slot i's column, once per pair
+        step = max(1, _PADDED_BLOCK_CELLS // max(1, len(truth)))
+        parts = []
+        for lo in range(0, n_s, step):
+            gap = np.abs(np.repeat(x_line[lo:lo + step], repeats, axis=1)
+                         - y_line[lo:lo + step].take(estimate, axis=1))
+            sample, pair = np.nonzero(gap <= reach)
+            parts.append((sample + lo, pair))
+        sample, pair = (np.concatenate(column) for column in zip(*parts))
+        truth, estimate = truth[pair], estimate[pair]
+        distance = _distances(xs.reshape(-1, dim).take(sample * k_x + truth, axis=0)
+                              - ys.reshape(-1, dim).take(sample * k_y + estimate, axis=0), base)
     edge = distance < c
     return sample[edge], truth[edge], estimate[edge], distance[edge]
 
@@ -507,18 +513,39 @@ def _gamma(edges, k_x: int, k_y: int, c: float, cuts: dict):
 
 
 def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Each value to the power ``exponent`` by libm's ``pow``, as Python's
-    ``**`` takes it, and OverflowError where a power exceeds the float range;
-    NumPy's array power differs from it in the last bit for some values."""
+    """Each value to the power ``exponent`` by Python's float ``**``, which
+    is libm's ``pow``, and OverflowError where a power exceeds the float
+    range.  The array goes through one object-dtype ``np.power`` call, so
+    each element is a Python float powered by a Python float; NumPy's
+    float64 power, and ``np.sqrt`` or ``v * v`` for the exponents 1/2 and
+    2, differ from libm in the last bit for some values."""
     if exponent == 1.0:  # pow(v, 1) is v
         return values
-    return np.fromiter(map(math.pow, values.tolist(), itertools.repeat(exponent)),
-                       dtype=float, count=len(values))
+    return np.power(values.astype(object), float(exponent)).astype(float)
 
 
 def _slot_sums(slots: np.ndarray) -> np.ndarray:
-    """Each row's sum, accumulated left to right; 0.0 for rows of no slots."""
-    return slots.cumsum(axis=1)[:, -1] if slots.shape[1] else np.zeros(len(slots))
+    """Each row's sum, accumulated left to right as a scalar sum would be;
+    0.0 for rows of no slots.
+
+    A stack of at least four rows per slot, such as a Table 1 chunk, adds
+    its slot columns one vectorised add at a time.  Any other stack, such as
+    the single row of :func:`gospa`, takes prefix sums along each row and
+    keeps the last, in the same order: an add costs about a microsecond
+    per slot and a prefix sum a few nanoseconds per entry.  ``np.sum`` and
+    ``np.add.reduce`` are not used: NumPy sums pairwise or not depending on
+    the layout, and a total would then change in the last bit with the
+    stack's shape.
+    """
+    n_rows, n_slots = slots.shape
+    if not n_slots:
+        return np.zeros(n_rows)
+    if n_rows < 4 * n_slots:
+        return slots.cumsum(axis=1)[:, -1]
+    total = slots[:, 0].copy()
+    for column in range(1, n_slots):
+        total += slots[:, column]
+    return total
 
 
 def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.ndarray,
@@ -528,9 +555,11 @@ def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.
 
     ``pairs`` are γ as :func:`_gamma` gives it, ``n_x`` and ``n_y`` count
     each sample's present slots.  Each sum accumulates left to right along
-    the slots: a slot holds its pair's cost, the cost entry when its target
-    is present and unpaired, or 0.0 (exact to add) when it is absent.  A
-    total beyond the float range raises ValueError, with no NumPy warning.
+    the slots, by :func:`_slot_sums`, so a sample's total does not depend on
+    the stack it is summed in: a slot holds its pair's cost, the cost entry
+    when its target is present and unpaired, or 0.0 (exact to add) when it
+    is absent.  A total beyond the float range raises ValueError, with no
+    NumPy warning.
     """
     row, col, cost = pairs
     totals, localization = {}, None
@@ -665,7 +694,9 @@ def cutoff_distance(x, y, c: float, base_distance: BaseDistance = "euclidean") -
         raise ValueError("inputs must be single state vectors with at least one coordinate")
     if xv.shape[1] != yv.shape[1]:
         raise ValueError(f"dimension mismatch: {xv.shape[1]} vs {yv.shape[1]}")
-    d = float(_base_distance_matrix(xv, yv, base_distance)[0, 0])
+    # a coordinate difference beyond the float range is +inf, beyond c
+    with np.errstate(over="ignore"):
+        d = float(_base_distance_matrix(xv, yv, base_distance)[0, 0])
     return min(d, float(c))
 
 

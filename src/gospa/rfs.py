@@ -370,22 +370,35 @@ def _run_blocks(total: int, workers: int, task: Callable[[int, int], None]) -> N
             future.result()
 
 
-def _estimate_from_powers(powers: np.ndarray, p_prime: float) -> MetricEstimate:
-    n = len(powers)
-    # scaled by a power of two, which is exact, so that neither the sum nor
-    # a square overflows; the standard error is divided by the mean before
-    # the product with the value, and the scale cancels in that quotient
-    exponent = math.frexp(float(powers.max()))[1]
-    scaled = np.ldexp(powers, -exponent)
-    mean_scaled = float(np.mean(scaled))
-    mean_power = math.ldexp(mean_scaled, exponent)
-    value = mean_power ** (1.0 / p_prime)
-    if n > 1 and mean_power > 0.0:
-        se_scaled = float(np.std(scaled, ddof=1)) / math.sqrt(n)
-        standard_error = se_scaled / (p_prime * mean_scaled) * value
-    else:
-        standard_error = 0.0
-    return MetricEstimate(value=value, standard_error=standard_error, samples=n)
+def _estimate_from_powers(powers: np.ndarray, p_primes: Sequence[float]) -> list[MetricEstimate]:
+    """One estimate per row of ``powers``, a (rows, samples) array whose row
+    r holds every sample's value to the power ``p_primes[r]``.
+
+    The moments of all rows are taken in one pass.  A mean or standard
+    deviation along the rows of a C-contiguous array sums each row as a
+    1-D call on it does, so every estimate is bit for bit that of its row
+    alone; the rest is scalar arithmetic per row.
+    """
+    n = powers.shape[1]
+    # each row scaled by a power of two, which is exact, so that neither
+    # the sum nor a square overflows; the standard error is divided by the
+    # mean before the product with the value, and the scale cancels in that
+    # quotient
+    exponents = np.frexp(powers.max(axis=1))[1]
+    scaled = np.ldexp(powers, -exponents[:, None])
+    means = scaled.mean(axis=1).tolist()
+    stds = scaled.std(axis=1, ddof=1).tolist() if n > 1 else [0.0] * len(powers)
+    estimates = []
+    for mean_scaled, std_scaled, exponent, p_prime in zip(means, stds, exponents.tolist(),
+                                                          p_primes):
+        mean_power = math.ldexp(mean_scaled, exponent)
+        value = mean_power ** (1.0 / p_prime)
+        if n > 1 and mean_power > 0.0:
+            standard_error = std_scaled / math.sqrt(n) / (p_prime * mean_scaled) * value
+        else:
+            standard_error = 0.0
+        estimates.append(MetricEstimate(value=value, standard_error=standard_error, samples=n))
+    return estimates
 
 
 def _chunk_size(sampler: PairSampler) -> int:
@@ -454,9 +467,11 @@ def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells,
     k)`` for all samplers and cells.  The samples are drawn in chunks and
     each chunk is evaluated at once by :func:`_chunk_values`, whose values
     are those of the scalar kernel.  The per-sample values are reduced in
-    index order, so each sampler's results are those it gets alone and
-    depend on neither ``workers`` nor the chunk boundaries.  Returns one
-    list of estimates per sampler, in the order of ``cells``.
+    index order, every cell of every sampler in one
+    :func:`_estimate_from_powers` call, so each sampler's results are those
+    it gets alone and depend on neither ``workers`` nor the chunk
+    boundaries.  Returns one list of estimates per sampler, in the order of
+    ``cells``.
     """
     first = samplers[0]
     if len(samplers) > 1 and not all(
@@ -488,8 +503,9 @@ def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells,
             del values  # before the next chunk's values are made
 
     _run_blocks(samples, workers, block)
-    return [[_estimate_from_powers(row, p_prime) for row, (_, _, p_prime) in zip(rows, cells)]
-            for rows in powers]
+    estimates = _estimate_from_powers(powers.reshape(-1, samples),
+                                      [p_prime for _, _, p_prime in cells] * len(samplers))
+    return [estimates[k:k + len(cells)] for k in range(0, len(estimates), len(cells))]
 
 
 def estimate_metric(sampler: PairSampler, params: GospaParams, cfg: EstimatorConfig,

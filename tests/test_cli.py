@@ -559,6 +559,28 @@ def test_an_overflowing_total_prints_only_the_error(tmp_path):
     assert done.stderr == "error: cost matrix entries must be finite\n"
 
 
+def test_coordinates_whose_difference_overflows_print_only_the_result(tmp_path):
+    truth = write_points(tmp_path / "x.json", [[1e308]])
+    estimate = write_points(tmp_path / "y.json", [[-1e308]])
+    done = subprocess.run(
+        [sys.executable, "-m", "gospa", "compute", truth, estimate, "--c", "1", "--p", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "total: 1\n" in done.stdout
+
+
+def test_the_parser_is_built_once(capsys, tmp_path):
+    path = write_points(tmp_path / "a.json", [[0.0, 0.0]])
+    assert cli.build_parser() is cli.build_parser()
+    # parsing leaves the shared parser as it was
+    for argv in (["compute", path, path, "--c", "8", "--format", "json"],
+                 ["compute", path, path, "--c", "8"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert out.startswith("metric: gospa\n")
+
+
 @pytest.mark.parametrize("command", ["table1", "mean"])
 def test_samples_beyond_memory_exit_2(capsys, monkeypatch, remote_models, command):
     real_empty = np.empty

@@ -966,6 +966,85 @@ def test_a_total_beyond_the_float_range_is_a_value_error(metric):
         metric()
 
 
+# 100 close pairs and three remote targets: 10,302 pairs, so they take the
+# sweep.  Both coordinates spread beyond the float range, and the first truth
+# and estimate are candidates on the first coordinate but 2e308 apart on the
+# second.
+FAR_APART = ([[1e308, 1e308]] + [[float(i), 0.0] for i in range(100)],
+             [[1e308, -1e308], [-1e308, 0.0]] + [[i + 0.1, 0.0] for i in range(100)])
+
+
+@pytest.mark.parametrize("base", ["euclidean", "manhattan"])
+def test_differences_beyond_the_float_range_warn_of_nothing(base):
+    x, y = FAR_APART
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the whole matrix
+        assert cutoff_distance([1e308], [-1e308], 1.0, base) == 1.0
+        params = GospaParams(c=1.0, p=2.0, base_distance=base)
+        assert gospa([[1e308]], [[-1e308]], params).total == 1.0
+        assert ospa([[1e308]], [[-1e308]], c=1.0, p=2.0, base_distance=base) == 1.0
+        # the sweep, and a sweep whose windows reach beyond the float range
+        assert gospa(x, y, GospaParams(c=1.0, base_distance=base)).total == 11.49999999999986
+        assert ospa(x, y, c=1.0, base_distance=base) == 0.11764705882352804
+        assert gospa(x, y, GospaParams(c=1e308, base_distance=base)).total == 1.5e308
+
+
+# --- per-sample sums and powers ------------------------------------------------
+
+def left_to_right_sums(slots):
+    """Each row's sum, one slot after another in Python floats."""
+    sums = []
+    for row in slots.tolist():
+        total = row[0] if row else 0.0
+        for value in row[1:]:
+            total += value
+        sums.append(total)
+    return np.array(sums, dtype=float)
+
+
+def spread_slots(shape):
+    """Slot values over 16 decades, so that the order of the additions shows."""
+    return 10.0 ** np.random.default_rng(shape).uniform(-8.0, 8.0, shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (1, 12), (40, 1), (3072, 2), (3072, 12), (109, 50),
+                                   (256, 50), (3, 40), (1, 1000), (5, 0), (0, 4)])
+def test_slot_sums_add_left_to_right(shape):
+    slots = spread_slots(shape)
+    assert metrics._slot_sums(slots).tobytes() == left_to_right_sums(slots).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (3072, 12), (109, 50), (256, 50), (3, 40), (1, 1000)])
+def test_left_to_right_sums_are_not_numpys(shape):
+    # NumPy sums rows of 9 or more pairwise, so the test above would see a
+    # summer that used it
+    slots = spread_slots(shape)
+    assert not np.array_equal(left_to_right_sums(slots), slots.sum(axis=1))
+
+
+@pytest.mark.parametrize("exponent", [1.0 / 3.7, 1.0 / 400.0, 0.5, 2.0, 1.0 / 3.0, 3.7])
+def test_powers_are_libm_pow(power_bases, exponent):
+    values, powers = [], []
+    for value in power_bases.tolist():
+        try:
+            powers.append(math.pow(value, exponent))
+        except OverflowError:
+            continue
+        values.append(value)
+    got = metrics._powers(np.array(values), exponent)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(powers).tobytes()
+
+
+def test_powers_of_nothing_and_the_identity_and_overflow():
+    assert metrics._powers(np.zeros(0), 0.5).tobytes() == np.zeros(0).tobytes()
+    values = np.array([0.0, 5e-324, 1.7, 1e300])
+    assert metrics._powers(values, 1.0).tobytes() == values.tobytes()
+    with pytest.raises(OverflowError):
+        metrics._powers(values, 2.0)
+
+
 # --- the one solver: components by label propagation --------------------------
 
 def count_lap_calls(monkeypatch):

@@ -693,8 +693,61 @@ def test_standard_error_scaling_is_exact():
         powers = rng.random(100) * scale
         mean_power = float(np.mean(powers))
         se_mean = float(np.std(powers, ddof=1)) / math.sqrt(100)
-        result = rfs._estimate_from_powers(powers, 1.0)
+        result, = rfs._estimate_from_powers(powers[None], [1.0])
         assert result.standard_error == se_mean / mean_power * mean_power
+
+
+def one_row_estimate(powers, p_prime):
+    """A cell's value and standard error from its row of powers alone, by
+    1-D NumPy calls on the row scaled by a power of two."""
+    n = len(powers)
+    exponent = math.frexp(float(powers.max()))[1]
+    scaled = np.ldexp(powers, -exponent)
+    mean_scaled = float(np.mean(scaled))
+    mean_power = math.ldexp(mean_scaled, exponent)
+    value = mean_power ** (1.0 / p_prime)
+    if n > 1 and mean_power > 0.0:
+        se_scaled = float(np.std(scaled, ddof=1)) / math.sqrt(n)
+        return value, se_scaled / (p_prime * mean_scaled) * value
+    return value, 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 1000])
+def test_every_rows_moments_are_those_of_the_row_alone(n):
+    rng = np.random.default_rng(n)
+    rows = [rng.random(n) * scale for scale in (1.0, 1e-3, 7.5, 1e12)]
+    rows.append(np.zeros(n))
+    # near the top of the float range: unscaled, their squares or sums overflow
+    rows += [1e300 * rng.uniform(0.5, 1.0, n), 1.7e308 * rng.uniform(0.5, 1.0, n)]
+    rows += [rng.exponential(1.0, n) for _ in range(72 - len(rows))]  # as many rows as Table 1
+    p_primes = [(1.0, 2.0, 3.7)[r % 3] for r in range(len(rows))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = rfs._estimate_from_powers(np.array(rows), p_primes)
+    assert len(estimates) == len(rows)
+    for estimate, row, p_prime in zip(estimates, rows, p_primes):
+        assert (estimate.value, estimate.standard_error) == one_row_estimate(row, p_prime)
+        assert estimate.samples == n
+    assert (estimates[4].value, estimates[4].standard_error) == (0.0, 0.0)
+
+
+def test_padded_points_far_apart_warn_of_nothing():
+    # differences of coordinates beyond the float range, in odd samples
+    def draw(seed):
+        side = 1.0 if seed % 2 else -1.0
+        return ([[side * 1.7e308, 0.0], [1.0, 2.0]],
+                [[-1.7e308, 1.0], [1.5, 2.0], [1e308, 1e308]])
+
+    expected = {"gospa": (2.1862490369793983, 0.07957622903019555),
+                "ospa": (1.5073658623372679, 0.03828436334659284)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in ("euclidean", "manhattan"):
+            for variant, (value, standard_error) in expected.items():
+                result = estimate_metric(CustomJointSampler(draw),
+                                         GospaParams(c=2.0, p=2.0, base_distance=base),
+                                         EstimatorConfig(samples=20), variant=variant)
+                assert (result.value, result.standard_error) == (value, standard_error)
 
 
 def test_values_that_do_not_fit_in_memory_are_a_value_error(monkeypatch):
