@@ -222,6 +222,61 @@ COMPUTE_GOLDEN = {
     ("ospa", "csv"): _lines(_CSV_HEADER, "ospa,8,,1,2,2,4.5,,,,,,", end="\r\n"),
 }
 
+# Options of further `compute` runs, on the example files or, for "empty
+# truth", on an empty truth set against with_false; and their exact stdout.
+COMPUTE_CASE_OPTIONS = {
+    "uospa": ("--c", "8", "--metric", "uospa"),
+    "alpha 1.5": ("--c", "8.123456789", "--p", "2", "--alpha", "1.5"),
+    "empty truth": ("--c", "8"),
+}
+COMPUTE_CASE_GOLDEN = {
+    ("uospa", "text"): _lines(
+        "metric: uospa",
+        "c: 8   p: 1   base: euclidean",
+        "truth size: 2   estimate size: 2",
+        "total: 9"),
+    ("uospa", "json"): json.dumps({
+        "command": "compute", "metric": "uospa", "config": _COMPUTE_CONFIG,
+        "truth_size": 2, "estimate_size": 2, "total": 9.0,
+    }, indent=2) + "\n",
+    ("uospa", "csv"): _lines(_CSV_HEADER, "uospa,8,,1,2,2,9,,,,,,", end="\r\n"),
+    # JSON echoes the configuration unrounded; CSV rounds every float
+    ("alpha 1.5", "json"): json.dumps({
+        "command": "compute", "metric": "gospa",
+        "config": {"c": 8.123456789, "p": 2.0, "base_distance": "euclidean", "alpha": 1.5},
+        "truth_size": 2, "estimate_size": 2, "total": 8.18478,
+    }, indent=2) + "\n",
+    ("alpha 1.5", "csv"): _lines(_CSV_HEADER, "gospa,8.12346,1.5,2,2,2,8.18478,,,,,,",
+                                 end="\r\n"),
+    ("empty truth", "text"): _lines(
+        "metric: gospa",
+        "c: 8   alpha: 2   p: 1   base: euclidean",
+        "truth size: 0   estimate size: 2",
+        "total: 8",
+        "localization cost^p: 0",
+        "missed targets: 0 (cost^p: 0)",
+        "false targets: 2 (cost^p: 8)",
+        "assignment (truth->estimate): none"),
+    ("empty truth", "json"): json.dumps({
+        "command": "compute", "metric": "gospa",
+        "config": {**_COMPUTE_CONFIG, "alpha": 2.0},
+        "truth_size": 0, "estimate_size": 2, "total": 8.0,
+        "decomposition": {"localization_cost_p": 0.0, "missed_count": 0, "false_count": 2,
+                          "missed_cost_p": 0.0, "false_cost_p": 8.0},
+        "assignment": [],
+    }, indent=2) + "\n",
+    ("empty truth", "csv"): _lines(_CSV_HEADER, "gospa,8,2,1,0,2,8,0,0,2,0,8,", end="\r\n"),
+}
+
+# SHA-256 of the stdout of `table1 --samples 100 --seed 1`, by format and
+# --precision.
+TABLE1_GOLDEN_SHA256 = {
+    ("text", "6"): "b218ccdf9ebf49a9c620458df3d2bbd1624f9682189401414651c328206a4e65",
+    ("csv", "6"): "45eab5e28811dcd409d03f663bb1c5b45f6b4d0259a14286185038d9fa21f01f",
+    ("text", "17"): "d729df886555b0bf7d741bf86d3e09b97e56c3f70bce5aae3351ca4e2145bab6",
+    ("csv", "17"): "e5729f33989d035a90742c44a2e46862fb8ee89a8426025d10394f99185e0295",
+}
+
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("metric,fmt", sorted(COMPUTE_GOLDEN))
@@ -246,6 +301,25 @@ class TestGoldenOutput:
             "missed targets: 1 (cost^p: 32)",
             "false targets: 1 (cost^p: 32)",
             "assignment (truth->estimate): 0->0")
+
+    @pytest.mark.parametrize("case, fmt", sorted(COMPUTE_CASE_GOLDEN))
+    def test_compute_case_exact_stdout(self, capsys, tmp_path, example_files, case, fmt):
+        truth, with_false, _ = example_files
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"dimension": 2, "points": []}))
+        inputs = (str(empty), with_false) if case == "empty truth" else (truth, with_false)
+        code, out, _ = run_cli(capsys, "compute", *inputs, *COMPUTE_CASE_OPTIONS[case],
+                               "--format", fmt)
+        assert code == 0
+        assert out == COMPUTE_CASE_GOLDEN[case, fmt]
+
+    @pytest.mark.parametrize("fmt, precision", sorted(TABLE1_GOLDEN_SHA256))
+    def test_table1_exact_stdout(self, capsys, fmt, precision):
+        code, out, _ = run_cli(capsys, "table1", "--samples", "100", "--seed", "1",
+                               "--format", fmt, "--precision", precision)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            TABLE1_GOLDEN_SHA256[fmt, precision]
 
 
 def clustered_point_files(tmp_path):
