@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 from . import documents, metrics, rfs
@@ -22,10 +23,6 @@ from . import documents, metrics, rfs
 
 def _fmt(value: float, precision: int) -> str:
     return f"{float(value):.{precision}g}"
-
-
-def _rounded(value: float, precision: int) -> float:
-    return float(_fmt(value, precision))
 
 
 def _non_negative_int(text: str) -> int:
@@ -38,26 +35,68 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+# Record keys whose values are results: JSON rounds them to the precision
+# and echoes every other float as given, while CSV rounds every float.
+_RESULT_KEYS = frozenset({"total", "localization_cost_p", "missed_cost_p", "false_cost_p",
+                          "value", "standard_error"})
+_COMPUTE_CSV_COLUMNS = ("metric", "c", "alpha", "p", "truth_size", "estimate_size", "total",
+                        "localization_cost_p", "missed_count", "false_count",
+                        "missed_cost_p", "false_cost_p", "assignment")
 
 
-def _print_csv(header: list[str], rows: list[list], comment: str | None = None) -> None:
+def _json_ready(value, precision: int, key: str | None = None):
+    if isinstance(value, dict):
+        return {name: _json_ready(item, precision, name) for name, item in value.items()}
+    if isinstance(value, list):
+        return [_json_ready(item, precision) for item in value]
+    return float(_fmt(value, precision)) if key in _RESULT_KEYS else value
+
+
+def _csv_cell(value, precision: int):
+    if isinstance(value, float):
+        return _fmt(value, precision)
+    if isinstance(value, tuple):  # an assignment's (truth, estimate) pairs
+        return ";".join(f"{i}:{j}" for i, j in value)
+    return value
+
+
+def _render(record: dict, fmt: str, precision: int, columns=None) -> str:
+    """A command's record as JSON or CSV text.
+
+    JSON is the record itself.  CSV has one row per entry of the record's
+    ``cells``, after a comment line with its ``config``, or else one row of
+    the record with its nested dicts flattened, a repeated key keeping its
+    first place and its last value, and ``command`` left out.
+    ``columns`` picks and orders the CSV columns, blank where the record has
+    no such key.
+    """
+    if fmt == "json":
+        return json.dumps(_json_ready(record, precision), indent=2) + "\n"
     buffer = io.StringIO()
-    if comment:
-        buffer.write(f"# {comment}\r\n")
+    if "cells" in record:
+        buffer.write("# " + " ".join(f"{key}={_csv_cell(value, precision)}"
+                                     for key, value in record["config"].items()) + "\r\n")
+        rows = record["cells"]
+    else:
+        rows = [{}]
+        for key, value in record.items():
+            rows[0].update(value if isinstance(value, dict) else {key: value})
+    columns = columns or [key for key in rows[0] if key != "command"]
     writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row.get(key, ""), precision) for key in columns] for row in rows)
+    return buffer.getvalue()
 
 
-def _cmd_compute(args) -> int:
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _cmd_compute(args) -> str:
     truth = documents.read_point_set(args.truth)
     estimate = documents.read_point_set(args.estimate)
     alpha = args.alpha if args.metric == "gospa" else 1.0
     params = metrics.GospaParams(c=args.c, alpha=alpha, p=args.p, base_distance=args.base_distance)
-    precision = args.precision
     if args.metric == "ospa":
         breakdown = None
         total = metrics.ospa(truth, estimate, c=args.c, p=args.p,
@@ -69,167 +108,99 @@ def _cmd_compute(args) -> int:
     config = {"c": args.c, "p": args.p, "base_distance": args.base_distance}
     if args.metric == "gospa":
         config["alpha"] = args.alpha
+    record = {"command": "compute", "metric": args.metric, "config": config,
+              "truth_size": len(truth), "estimate_size": len(estimate), "total": total}
+    if breakdown is not None and breakdown.has_decomposition:
+        record["decomposition"] = {key: getattr(breakdown, key) for key in (
+            "localization_cost_p", "missed_count", "false_count", "missed_cost_p",
+            "false_cost_p")}
+        record["assignment"] = breakdown.assignment.pairs
+    if args.format != "text":
+        return _render(record, args.format, args.precision, _COMPUTE_CSV_COLUMNS)
 
-    if args.format == "json":
-        payload = {
-            "command": "compute",
-            "metric": args.metric,
-            "config": config,
-            "truth_size": len(truth),
-            "estimate_size": len(estimate),
-            "total": _rounded(total, precision),
-        }
-        if breakdown is not None and breakdown.has_decomposition:
-            payload["decomposition"] = {
-                "localization_cost_p": _rounded(breakdown.localization_cost_p, precision),
-                "missed_count": breakdown.missed_count,
-                "false_count": breakdown.false_count,
-                "missed_cost_p": _rounded(breakdown.missed_cost_p, precision),
-                "false_cost_p": _rounded(breakdown.false_cost_p, precision),
-            }
-            payload["assignment"] = [list(pair) for pair in breakdown.assignment.pairs]
-        _print_json(payload)
-    elif args.format == "csv":
-        header = ["metric", "c", "alpha", "p", "truth_size", "estimate_size", "total",
-                  "localization_cost_p", "missed_count", "false_count",
-                  "missed_cost_p", "false_cost_p", "assignment"]
-        row = [args.metric, _fmt(args.c, precision),
-               _fmt(args.alpha, precision) if args.metric == "gospa" else "",
-               _fmt(args.p, precision), len(truth), len(estimate), _fmt(total, precision)]
-        if breakdown is not None and breakdown.has_decomposition:
-            row += [_fmt(breakdown.localization_cost_p, precision),
-                    breakdown.missed_count, breakdown.false_count,
-                    _fmt(breakdown.missed_cost_p, precision),
-                    _fmt(breakdown.false_cost_p, precision),
-                    ";".join(f"{i}:{j}" for i, j in breakdown.assignment.pairs)]
-        else:
-            row += ["", "", "", "", "", ""]
-        _print_csv(header, [row])
-    else:
-        print(f"metric: {args.metric}")
-        line = f"c: {_fmt(args.c, precision)}"
-        if args.metric == "gospa":
-            line += f"   alpha: {_fmt(args.alpha, precision)}"
-        line += f"   p: {_fmt(args.p, precision)}   base: {args.base_distance}"
-        print(line)
-        print(f"truth size: {len(truth)}   estimate size: {len(estimate)}")
-        print(f"total: {_fmt(total, precision)}")
-        if args.metric == "gospa":
-            if breakdown.has_decomposition:
-                print(f"localization cost^p: {_fmt(breakdown.localization_cost_p, precision)}")
-                print(f"missed targets: {breakdown.missed_count} "
-                      f"(cost^p: {_fmt(breakdown.missed_cost_p, precision)})")
-                print(f"false targets: {breakdown.false_count} "
-                      f"(cost^p: {_fmt(breakdown.false_cost_p, precision)})")
-                pairs = breakdown.assignment.pairs
-                rendered = " ".join(f"{i}->{j}" for i, j in pairs) if pairs else "none"
-                print(f"assignment (truth->estimate): {rendered}")
-            else:
-                print("decomposition: not applicable (alpha != 2)")
-    return 0
+    fmt = functools.partial(_fmt, precision=args.precision)
+    alpha_text = f"   alpha: {fmt(args.alpha)}" if args.metric == "gospa" else ""
+    lines = [f"metric: {args.metric}",
+             f"c: {fmt(args.c)}{alpha_text}   p: {fmt(args.p)}   base: {args.base_distance}",
+             f"truth size: {len(truth)}   estimate size: {len(estimate)}",
+             f"total: {fmt(total)}"]
+    if "decomposition" in record:
+        pairs = " ".join(f"{i}->{j}" for i, j in breakdown.assignment.pairs)
+        lines += [f"localization cost^p: {fmt(breakdown.localization_cost_p)}",
+                  f"missed targets: {breakdown.missed_count} "
+                  f"(cost^p: {fmt(breakdown.missed_cost_p)})",
+                  f"false targets: {breakdown.false_count} "
+                  f"(cost^p: {fmt(breakdown.false_cost_p)})",
+                  f"assignment (truth->estimate): {pairs or 'none'}"]
+    elif args.metric == "gospa":
+        lines.append("decomposition: not applicable (alpha != 2)")
+    return _text(lines)
 
 
-def _cmd_mean(args) -> int:
+def _cmd_mean(args) -> str:
     truth = documents.read_multi_bernoulli(args.truth_model)
     estimate = documents.read_multi_bernoulli(args.estimate_model)
     sampler = rfs.IndependentPairSampler(truth=truth, estimate=estimate)
-    params = metrics.GospaParams(c=args.c, alpha=args.alpha, p=args.p,
+    # only GOSPA depends on alpha, but the configuration echoes it, so it
+    # must still be finite
+    alpha = args.alpha if args.metric == "gospa" or not math.isfinite(args.alpha) else 1.0
+    params = metrics.GospaParams(c=args.c, alpha=alpha, p=args.p,
                                  base_distance=args.base_distance)
     p_prime = args.p_prime if args.p_prime is not None else args.p
     cfg = rfs.EstimatorConfig(p_prime=p_prime, samples=args.samples,
                               master_seed=args.seed)
     result = rfs.estimate_metric(sampler, params, cfg, variant=args.metric,
                                  workers=args.workers)
-    precision = args.precision
 
-    config = {"c": args.c, "alpha": args.alpha, "p": args.p, "p_prime": p_prime,
-              "samples": args.samples, "seed": args.seed}
-    if args.format == "json":
-        _print_json({
-            "command": "mean",
-            "metric": args.metric,
-            "config": config,
-            "value": _rounded(result.value, precision),
-            "standard_error": _rounded(result.standard_error, precision),
-            "samples": result.samples,
-        })
-    elif args.format == "csv":
-        header = ["metric", "c", "alpha", "p", "p_prime", "samples", "seed",
-                  "value", "standard_error"]
-        row = [args.metric, _fmt(args.c, precision), _fmt(args.alpha, precision),
-               _fmt(args.p, precision), _fmt(p_prime, precision), args.samples,
-               args.seed, _fmt(result.value, precision),
-               _fmt(result.standard_error, precision)]
-        _print_csv(header, [row])
-    else:
-        print(f"metric: {args.metric}")
-        print(f"c: {_fmt(args.c, precision)}   alpha: {_fmt(args.alpha, precision)}   "
-              f"p: {_fmt(args.p, precision)}   p': {_fmt(p_prime, precision)}")
-        print(f"samples: {args.samples}   seed: {args.seed}")
-        print(f"value: {_fmt(result.value, precision)}")
-        print(f"standard error: {_fmt(result.standard_error, precision)}")
-    return 0
+    record = {"command": "mean", "metric": args.metric,
+              "config": {"c": args.c, "alpha": args.alpha, "p": args.p, "p_prime": p_prime,
+                         "samples": args.samples, "seed": args.seed},
+              "value": result.value, "standard_error": result.standard_error,
+              "samples": result.samples}  # equals config's samples, one CSV column
+    if args.format != "text":
+        return _render(record, args.format, args.precision)
+
+    fmt = functools.partial(_fmt, precision=args.precision)
+    return _text([f"metric: {args.metric}",
+                  f"c: {fmt(args.c)}   alpha: {fmt(args.alpha)}   "
+                  f"p: {fmt(args.p)}   p': {fmt(p_prime)}",
+                  f"samples: {args.samples}   seed: {args.seed}",
+                  f"value: {fmt(result.value)}",
+                  f"standard error: {fmt(result.standard_error)}"])
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> str:
     result = rfs.run_table1(samples=args.samples, master_seed=args.seed,
                             workers=args.workers)
-    precision = args.precision
-    config = {"c": result.c, "samples": result.samples, "seed": result.master_seed}
+    record = {"command": "table1",
+              "config": {"c": result.c, "samples": result.samples, "seed": result.master_seed},
+              "cells": [{"metric": cell.metric, "p": cell.p, "n_missed": cell.n_missed,
+                         "n_false": cell.n_false, "value": cell.estimate.value,
+                         "standard_error": cell.estimate.standard_error}
+                        for cell in result.cells]}
+    if args.format != "text":
+        return _render(record, args.format, args.precision)
 
-    if args.format == "json":
-        _print_json({
-            "command": "table1",
-            "config": config,
-            "cells": [
-                {
-                    "metric": cell.metric,
-                    "p": cell.p,
-                    "n_missed": cell.n_missed,
-                    "n_false": cell.n_false,
-                    "value": _rounded(cell.estimate.value, precision),
-                    "standard_error": _rounded(cell.estimate.standard_error, precision),
-                }
-                for cell in result.cells
-            ],
-        })
-    elif args.format == "csv":
-        header = ["metric", "p", "n_missed", "n_false", "value", "standard_error"]
-        rows = [
-            [cell.metric, _fmt(cell.p, precision), cell.n_missed, cell.n_false,
-             _fmt(cell.estimate.value, precision),
-             _fmt(cell.estimate.standard_error, precision)]
-            for cell in result.cells
-        ]
-        comment = (f"c={_fmt(result.c, precision)} samples={result.samples} "
-                   f"seed={result.master_seed}")
-        _print_csv(header, rows, comment=comment)
-    else:
-        print(f"benchmark grid: c={_fmt(result.c, precision)}  "
-              f"samples={result.samples}  seed={result.master_seed}")
-        grid = {}
-        for metric in rfs.TABLE1_METRICS:
-            for n_false in rfs.TABLE1_N_FALSE:
-                for p in rfs.TABLE1_EXPONENTS:
-                    for n_missed in rfs.TABLE1_N_MISSED:
-                        est = result.estimate(metric, p, n_missed, n_false)
-                        grid[(metric, n_false, p, n_missed)] = (
-                            f"{_fmt(est.value, precision)}"
-                            f"±{_fmt(est.standard_error, 3)}")
-        width = max(8, max(len(cell) for cell in grid.values()) + 2)
-        per_block = width * len(rfs.TABLE1_N_MISSED)
-        print(" " * 16 + "".join(
-            f"p'=p={_fmt(p, precision)}".center(per_block) for p in rfs.TABLE1_EXPONENTS))
-        print("metric   #false " + "".join(
-            f"miss={m}".ljust(width)
-            for _ in rfs.TABLE1_EXPONENTS for m in rfs.TABLE1_N_MISSED))
-        for metric in rfs.TABLE1_METRICS:
-            for n_false in rfs.TABLE1_N_FALSE:
-                cells = "".join(
-                    grid[(metric, n_false, p, n_missed)].ljust(width)
-                    for p in rfs.TABLE1_EXPONENTS for n_missed in rfs.TABLE1_N_MISSED)
-                print(f"{metric:<8} {n_false:>6} " + cells)
-    return 0
+    precision = args.precision
+    grid = {(cell["metric"], cell["n_false"], cell["p"], cell["n_missed"]):
+            f"{_fmt(cell['value'], precision)}±{_fmt(cell['standard_error'], 3)}"
+            for cell in record["cells"]}
+    width = max(8, max(len(cell) for cell in grid.values()) + 2)
+    per_block = width * len(rfs.TABLE1_N_MISSED)
+    lines = [f"benchmark grid: c={_fmt(result.c, precision)}  "
+             f"samples={result.samples}  seed={result.master_seed}",
+             " " * 16 + "".join(f"p'=p={_fmt(p, precision)}".center(per_block)
+                                for p in rfs.TABLE1_EXPONENTS),
+             "metric   #false " + "".join(f"miss={m}".ljust(width)
+                                          for _ in rfs.TABLE1_EXPONENTS
+                                          for m in rfs.TABLE1_N_MISSED)]
+    for metric in rfs.TABLE1_METRICS:
+        for n_false in rfs.TABLE1_N_FALSE:
+            cells = "".join(
+                grid[(metric, n_false, p, n_missed)].ljust(width)
+                for p in rfs.TABLE1_EXPONENTS for n_missed in rfs.TABLE1_N_MISSED)
+            lines.append(f"{metric:<8} {n_false:>6} " + cells)
+    return _text(lines)
 
 
 @functools.cache
@@ -255,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     sampling_options = argparse.ArgumentParser(add_help=False)
     sampling_options.add_argument("--samples", type=int, default=1000)
     sampling_options.add_argument("--seed", type=int, default=0)
-    sampling_options.add_argument("--workers", type=int, default=1)
+    sampling_options.add_argument("--workers", type=int, default=1,
+                                  help="accepted for compatibility; must be at least 1 "
+                                       "and has no effect")
     output_options = argparse.ArgumentParser(add_help=False)
     output_options.add_argument("--format", choices=("text", "json", "csv"), default="text")
     output_options.add_argument("--precision", type=_non_negative_int, default=6,
@@ -292,7 +265,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        sys.stdout.write(args.func(args))
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ The estimators approximate ``E[d(X, Y)**p'] ** (1/p')`` for jointly
 distributed random finite sets, where d is GOSPA, OSPA or unnormalized
 OSPA.  Sampling is reproducible: every Monte Carlo sample draws from its
 own random stream keyed by mixing the master seed with the sample index, so
-results are bit-identical for a fixed master seed regardless of how the
-samples are distributed over workers.
+results are bit-identical for a fixed master seed however the samples are
+split into chunks.  The estimators accept a ``workers`` count, which must
+be a positive integer and has no effect: every run draws and solves its
+chunks one after another in the calling thread.
 
 Draw layout v3.  Sample k's key is ``derive_sample_seed(master_seed, k)``,
 and its i-th word is ``_mix64(_mix64(key) + (i + 1) * 0x9E3779B97F4A7C15)``:
@@ -45,8 +47,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -348,28 +348,6 @@ def _require_metric(metric: str) -> None:
         raise ValueError(f"unknown metric variant {metric!r}; choose gospa, ospa or uospa")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
-
-
-def _run_blocks(total: int, workers: int, task: Callable[[int, int], None]) -> None:
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError("workers must be a positive integer")
-    n_blocks = min(workers, _usable_cpus(), total)
-    if n_blocks <= 1:
-        task(0, total)
-        return
-    step = -(-total // n_blocks)
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=n_blocks) as pool:
-        futures = [pool.submit(task, lo, hi) for lo, hi in bounds]
-        for future in futures:
-            future.result()
-
-
 def _estimate_from_powers(powers: np.ndarray, p_primes: Sequence[float]) -> list[MetricEstimate]:
     """One estimate per row of ``powers``, a (rows, samples) array whose row
     r holds every sample's value to the power ``p_primes[r]``.
@@ -469,9 +447,9 @@ def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells,
     are those of the scalar kernel.  The per-sample values are reduced in
     index order, every cell of every sampler in one
     :func:`_estimate_from_powers` call, so each sampler's results are those
-    it gets alone and depend on neither ``workers`` nor the chunk
-    boundaries.  Returns one list of estimates per sampler, in the order of
-    ``cells``.
+    it gets alone and do not depend on the chunk boundaries.  ``workers``
+    must be a positive integer and has no effect.  Returns one list of
+    estimates per sampler, in the order of ``cells``.
     """
     first = samplers[0]
     if len(samplers) > 1 and not all(
@@ -491,18 +469,16 @@ def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells,
         raise ValueError(f"not enough memory for the values of {samples} samples") from None
 
     chunk = _chunk_size(first)
-
-    def block(lo: int, hi: int) -> None:
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            values = _chunk_values(samplers, _sample_keys(master_seed, start, stop), base, c,
-                                   alpha, requests)
-            for index, (metric, p, p_prime) in enumerate(cells):
-                powers[:, index, start:stop] = _outer_powers(
-                    values[metric, p], p_prime).reshape(len(samplers), -1)
-            del values  # before the next chunk's values are made
-
-    _run_blocks(samples, workers, block)
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError("workers must be a positive integer")
+    for start in range(0, samples, chunk):
+        stop = min(start + chunk, samples)
+        values = _chunk_values(samplers, _sample_keys(master_seed, start, stop), base, c,
+                               alpha, requests)
+        for index, (metric, p, p_prime) in enumerate(cells):
+            powers[:, index, start:stop] = _outer_powers(
+                values[metric, p], p_prime).reshape(len(samplers), -1)
+        del values  # before the next chunk's values are made
     estimates = _estimate_from_powers(powers.reshape(-1, samples),
                                       [p_prime for _, _, p_prime in cells] * len(samplers))
     return [estimates[k:k + len(cells)] for k in range(0, len(estimates), len(cells))]
@@ -514,8 +490,8 @@ def estimate_metric(sampler: PairSampler, params: GospaParams, cfg: EstimatorCon
 
     ``variant`` is "gospa" (at ``params.alpha``), "ospa" or "uospa".
     Sample k uses the seed ``derive_sample_seed(cfg.master_seed, k)`` and
-    the per-sample values are reduced in index order, so the result does
-    not depend on ``workers``.
+    the per-sample values are reduced in index order.  ``workers`` must be
+    a positive integer and has no effect.
     """
     return _estimate_cells([sampler], params, [(variant, params.p, cfg.p_prime)],
                            cfg.samples, cfg.master_seed, workers)[0][0]

@@ -222,12 +222,13 @@ COMPUTE_GOLDEN = {
     ("ospa", "csv"): _lines(_CSV_HEADER, "ospa,8,,1,2,2,4.5,,,,,,", end="\r\n"),
 }
 
-# Options of further `compute` runs, on the example files or, for "empty
-# truth", on an empty truth set against with_false; and their exact stdout.
+# Options of further `compute` runs, on the example files or, for
+# "empty_truth", on an empty truth set against with_false; and their exact
+# stdout.
 COMPUTE_CASE_OPTIONS = {
     "uospa": ("--c", "8", "--metric", "uospa"),
-    "alpha 1.5": ("--c", "8.123456789", "--p", "2", "--alpha", "1.5"),
-    "empty truth": ("--c", "8"),
+    "alpha_1.5": ("--c", "8.123456789", "--p", "2", "--alpha", "1.5"),
+    "empty_truth": ("--c", "8"),
 }
 COMPUTE_CASE_GOLDEN = {
     ("uospa", "text"): _lines(
@@ -241,14 +242,14 @@ COMPUTE_CASE_GOLDEN = {
     }, indent=2) + "\n",
     ("uospa", "csv"): _lines(_CSV_HEADER, "uospa,8,,1,2,2,9,,,,,,", end="\r\n"),
     # JSON echoes the configuration unrounded; CSV rounds every float
-    ("alpha 1.5", "json"): json.dumps({
+    ("alpha_1.5", "json"): json.dumps({
         "command": "compute", "metric": "gospa",
         "config": {"c": 8.123456789, "p": 2.0, "base_distance": "euclidean", "alpha": 1.5},
         "truth_size": 2, "estimate_size": 2, "total": 8.18478,
     }, indent=2) + "\n",
-    ("alpha 1.5", "csv"): _lines(_CSV_HEADER, "gospa,8.12346,1.5,2,2,2,8.18478,,,,,,",
+    ("alpha_1.5", "csv"): _lines(_CSV_HEADER, "gospa,8.12346,1.5,2,2,2,8.18478,,,,,,",
                                  end="\r\n"),
-    ("empty truth", "text"): _lines(
+    ("empty_truth", "text"): _lines(
         "metric: gospa",
         "c: 8   alpha: 2   p: 1   base: euclidean",
         "truth size: 0   estimate size: 2",
@@ -257,7 +258,7 @@ COMPUTE_CASE_GOLDEN = {
         "missed targets: 0 (cost^p: 0)",
         "false targets: 2 (cost^p: 8)",
         "assignment (truth->estimate): none"),
-    ("empty truth", "json"): json.dumps({
+    ("empty_truth", "json"): json.dumps({
         "command": "compute", "metric": "gospa",
         "config": {**_COMPUTE_CONFIG, "alpha": 2.0},
         "truth_size": 0, "estimate_size": 2, "total": 8.0,
@@ -265,7 +266,7 @@ COMPUTE_CASE_GOLDEN = {
                           "missed_cost_p": 0.0, "false_cost_p": 8.0},
         "assignment": [],
     }, indent=2) + "\n",
-    ("empty truth", "csv"): _lines(_CSV_HEADER, "gospa,8,2,1,0,2,8,0,0,2,0,8,", end="\r\n"),
+    ("empty_truth", "csv"): _lines(_CSV_HEADER, "gospa,8,2,1,0,2,8,0,0,2,0,8,", end="\r\n"),
 }
 
 # SHA-256 of the stdout of `table1 --samples 100 --seed 1`, by format and
@@ -307,7 +308,7 @@ class TestGoldenOutput:
         truth, with_false, _ = example_files
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"dimension": 2, "points": []}))
-        inputs = (str(empty), with_false) if case == "empty truth" else (truth, with_false)
+        inputs = (str(empty), with_false) if case == "empty_truth" else (truth, with_false)
         code, out, _ = run_cli(capsys, "compute", *inputs, *COMPUTE_CASE_OPTIONS[case],
                                "--format", fmt)
         assert code == 0
@@ -724,6 +725,53 @@ def test_negative_precision_exit_2_before_any_output(capsys, tmp_path, command):
     assert "--precision" in err
     code, out, _ = run_cli(capsys, *argv, "--precision", "0")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", ["compute", "mean", "table1"])
+def test_an_error_after_the_computation_leaves_stdout_empty(capsys, tmp_path, command, fmt):
+    if command == "compute":
+        path = write_points(tmp_path / "a.json", [[0.0, 0.0]])
+        argv = ["compute", path, path, "--c", "8"]
+    elif command == "mean":
+        model = rfs.MultiBernoulli((rfs.BernoulliComponent(0.5, [0.0, 0.0], np.eye(2)),))
+        path = write_model(tmp_path / "m.json", model)
+        argv = ["mean", path, path, "--c", "8", "--samples", "4"]
+    else:
+        argv = ["table1", "--samples", "2"]
+    # a precision that Python's float formatting rejects
+    code, out, err = run_cli(capsys, *argv, "--format", fmt, "--precision", "4000000000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: precision too big\n"
+
+
+@pytest.mark.parametrize("metric", ["ospa", "uospa"])
+def test_mean_ignores_alpha_outside_the_gospa_range_for_ospa(capsys, tmp_path, metric):
+    truth_doc, estimate_doc = clustered_model_documents(5, 6)
+    truth, estimate = tmp_path / "truth.json", tmp_path / "estimate.json"
+    truth.write_text(json.dumps(truth_doc))
+    estimate.write_text(json.dumps(estimate_doc))
+    argv = ["mean", str(truth), str(estimate), "--c", "10", "--p", "2", "--samples", "50",
+            "--metric", metric, "--format", "json", "--precision", "17"]
+    outputs = {}
+    for alpha in ("2", "1.5", "0", "3", "-1"):
+        code, out, err = run_cli(capsys, *argv, "--alpha", alpha)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["config"]["alpha"] == float(alpha)
+        outputs[alpha] = (payload["value"], payload["standard_error"])
+    assert len(set(outputs.values())) == 1
+    for alpha in ("nan", "inf"):
+        code, out, err = run_cli(capsys, *argv, "--alpha", alpha)
+        assert (code, out, err) == (2, "", "error: alpha must lie in (0, 2]\n")
+
+
+def test_workers_help_says_it_has_no_effect(capsys):
+    for command in ("mean", "table1"):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "no effect" in " ".join(out.split())
 
 
 def test_module_entry_point_runs():

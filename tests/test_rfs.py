@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -588,36 +587,6 @@ class TestEstimateMetric:
                 params = GospaParams(c=c, alpha=alpha if variant == "gospa" else 1.0, p=p)
                 expected.append(gospa(x, y, params).total)
         assert np.array(got[variant, p]).tobytes() == np.array(expected).tobytes()
-
-    def test_single_cpu_runs_serially(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("no thread pool should start")
-
-        sampler = table1_scenario(0, 1)
-        params = GospaParams(c=8.0, alpha=2.0, p=1.0)
-        cfg = EstimatorConfig(samples=16, master_seed=3)
-        serial = estimate_metric(sampler, params, cfg)
-        monkeypatch.setattr(rfs, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(rfs, "ThreadPoolExecutor", no_pool)
-        assert estimate_metric(sampler, params, cfg, workers=4) == serial
-
-    def test_pool_is_capped_by_cpus_and_blocks(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(rfs, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(rfs, "ThreadPoolExecutor", RecordingPool)
-        done = []
-        rfs._run_blocks(10, 6, lambda lo, hi: done.extend(range(lo, hi)))
-        rfs._run_blocks(3, 6, lambda lo, hi: None)
-        monkeypatch.setattr(rfs, "_usable_cpus", lambda: 8)
-        rfs._run_blocks(3, 6, lambda lo, hi: None)
-        assert sizes == [2, 2, 3]
-        assert sorted(done) == list(range(10))
 
     def test_rejects_bad_workers(self):
         sampler = table1_scenario(0, 0)
