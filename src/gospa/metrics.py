@@ -29,9 +29,6 @@ _NAMED_BASE_DISTANCES = ("euclidean", "manhattan")
 # larger ones with a named base distance find their close pairs by a sweep.
 # On sets spread in the plane the two cost the same near 2,000 pairs.
 _SWEEP_MIN_PAIRS = 4096
-# A sweep whose windows hold more than this share of all pairs builds the
-# whole matrix instead; gathering a candidate costs about three matrix entries.
-_SWEEP_MAX_SHARE = 0.25
 # A component of the d < c graph is solved by enumerating every injection of
 # its truths into its estimates when it has at most this many truths and at
 # most _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x.
@@ -40,7 +37,7 @@ _ENUMERATION_MAX_INJECTIONS = 1024
 # A padded stack compares only the truth-estimate slot pairs whose ranges
 # over the stack meet, over blocks of samples holding at most this many of
 # them (128 KB a float array); a stack with more slot pairs per sample than
-# this, met or not, is evaluated one sample at a time.
+# this, met or not, finds its edges one sample at a time.
 _PADDED_BLOCK_CELLS = 16384
 # A component whose best and second-best detected-pair sets differ in cost by
 # at most this share of c**p is solved by the assignment solver instead, so
@@ -126,8 +123,8 @@ class GospaBreakdown:
 def as_state_array(points) -> np.ndarray:
     """Coerce a target set to a float array of shape (cardinality, dimension).
 
-    Accepts any sequence of equal-length coordinate sequences; an empty
-    sequence becomes a (0, 0) array with unknown dimension.
+    Accepts any sequence of equal-length coordinate sequences, each of at
+    least one coordinate; an empty sequence becomes a (0, 0) array.
     """
     try:
         arr = np.asarray(points, dtype=float)
@@ -135,6 +132,8 @@ def as_state_array(points) -> np.ndarray:
         raise ValueError("a target set must be a sequence of equal-length state vectors") from None
     except OverflowError:  # an integer too large for a float
         raise ValueError("state coordinates must be finite") from None
+    if arr.ndim == 2 and len(arr) and not arr.shape[1]:
+        raise ValueError("a state vector must have at least one coordinate")
     if arr.size == 0 and arr.ndim <= 2:
         return arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 0)
     if arr.ndim != 2:
@@ -185,8 +184,7 @@ def _widest_axis(xs: np.ndarray, ys: np.ndarray) -> int:
 
 def _sweep_candidates(xs: np.ndarray, ys: np.ndarray, c: float):
     """Every pair within c of each other on one coordinate, as row and column
-    index arrays in row order; ``None`` when they exceed
-    ``_SWEEP_MAX_SHARE`` of all pairs.
+    index arrays in row order.
 
     Both named base distances are at least the difference on any single
     coordinate, so these pairs hold every pair at distance below c.  The
@@ -201,13 +199,10 @@ def _sweep_candidates(xs: np.ndarray, ys: np.ndarray, c: float):
     reach = c + 1e-9 * (c + np.abs(centres))
     lo = np.searchsorted(keys, centres - reach, side="left")
     counts = np.searchsorted(keys, centres + reach, side="right") - lo
-    total = int(counts.sum())
-    if total > _SWEEP_MAX_SHARE * len(xs) * len(ys):
-        return None
     ends = np.cumsum(counts)
     # position of each candidate in the sorted estimates: its window's start
     # plus its offset within the window
-    offsets = np.arange(total) - np.repeat(ends - counts, counts)
+    offsets = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
     return np.repeat(np.arange(len(xs)), counts), order[np.repeat(lo, counts) + offsets]
 
 
@@ -218,23 +213,20 @@ def _no_edges():
 def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float):
     """The pairs of one pair of sets at base distance below c, as (sample,
     truth, estimate, distance) arrays in ascending truth order, every sample
-    0.  Large inputs with a named base distance take their candidate pairs
-    from :func:`_sweep_candidates`; the others, and a sweep that finds too
-    many candidates, from the whole distance matrix.
+    0.  Inputs of more than ``_SWEEP_MIN_PAIRS`` pairs with a named base
+    distance take their candidate pairs from :func:`_sweep_candidates`,
+    however many; the others, from the whole distance matrix.
     """
     if len(xs) == 0 or len(ys) == 0:
         return _no_edges()
     # a coordinate difference beyond the float range is +inf, beyond c
     with np.errstate(over="ignore"):
-        candidates = None
-        if not callable(base) and len(xs) * len(ys) > _SWEEP_MIN_PAIRS:
-            candidates = _sweep_candidates(xs, ys, c)
-        if candidates is None:
+        if callable(base) or len(xs) * len(ys) <= _SWEEP_MIN_PAIRS:
             distances = _base_distance_matrix(xs, ys, base)
             truth, estimate = np.nonzero(distances < c)
             distance = distances[truth, estimate]
         else:
-            truth, estimate = candidates
+            truth, estimate = _sweep_candidates(xs, ys, c)
             distance = _distances(xs.take(truth, axis=0) - ys.take(estimate, axis=0), base)
             close = distance < c
             truth, estimate, distance = truth[close], estimate[close], distance[close]
@@ -317,6 +309,12 @@ def _cut_powers(c: float, p: float) -> tuple[float, float]:
     if not (math.isfinite(cut_p) and math.isfinite(cut_entry)):
         raise ValueError("cost matrix entries must be finite")
     return cut_p, cut_entry
+
+
+def _cuts(c: float, requests: dict[float, Sequence[str]], occupied) -> dict:
+    """:func:`_cut_powers` at each requested p, or (0.0, 0.0) when no set is
+    ``occupied``: empty sets cost 0 whatever ``c**p`` is."""
+    return {p: _cut_powers(c, p) if occupied else (0.0, 0.0) for p in requests}
 
 
 def _enumerable(n_x, n_y):
@@ -624,8 +622,7 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
     """
     c = float(c)  # an integer c would make the cost entry c**p a wrapping int64 power
     n_x, n_y = len(xs), len(ys)
-    # both sets empty cost 0 whatever c**p is
-    cuts = {p: _cut_powers(c, p) if n_x or n_y else (0.0, 0.0) for p in requests}
+    cuts = _cuts(c, requests, n_x or n_y)
     present = np.ones((1, n_x), dtype=bool), np.ones((1, n_y), dtype=bool)
     values, details = _solve(_cut_off_graph(xs, ys, base, c), *present, c, alpha, requests, cuts)
     values = {key: float(value[0]) for key, value in values.items()}
@@ -640,18 +637,28 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
 
 def _evaluate_each(pairs, base: BaseDistance, c: float, alpha: float,
                    requests: dict[float, Sequence[str]]) -> dict:
-    """:func:`_evaluate` for each (truths, estimates) pair, as
-    ``{(name, p): values}`` for the requested names, one value per pair."""
-    evaluated = [_evaluate(x, y, base, c, alpha, requests) for x, y in pairs]
-    return {(name, p): np.array([values[name, p] for values in evaluated])
-            for p, names in requests.items() for name in names}
+    """:func:`_evaluate` for each (truths, estimates) pair of a list, which
+    may differ in dimension, as ``{(name, p): values}``, one value per pair.
+    Pair k is sample k, its targets in its first slots and its edges from
+    :func:`_cut_off_graph`, and one :func:`_solve` call takes every sample.
+    Each value is bit-identical to the pair's alone: the tie rule reads only
+    index order, and an absent slot adds an exact 0.0."""
+    c = float(c)
+    sizes = np.array([(len(x), len(y)) for x, y in pairs]).reshape(-1, 2)
+    cuts = _cuts(c, requests, sizes.any())
+    graphs = [_cut_off_graph(x, y, base, c)[1:] for x, y in pairs]
+    truth, estimate, distance = (np.concatenate(column) for column in zip(*graphs))
+    sample = np.repeat(np.arange(len(graphs)), [len(graph[0]) for graph in graphs])
+    x_present, y_present = (np.arange(size.max()) < size[:, None] for size in sizes.T)
+    return _solve((sample, truth, estimate, distance), x_present, y_present, c, alpha,
+                  requests, cuts)[0]
 
 
 def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
                      y_present: np.ndarray, base: BaseDistance, c: float, alpha: float,
                      requests: dict[float, Sequence[str]]) -> dict:
     """:func:`_evaluate` for each sample of a padded stack: the kernel of
-    the Monte Carlo estimators, :func:`_solve` on the edges of
+    the Monte Carlo estimators, one :func:`_solve` call on the edges of
     :func:`_padded_edges`.
 
     ``xs`` has shape (n, K_x, D) and ``x_present`` (copies * n, K_x), and
@@ -661,21 +668,17 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     two targets it holds, just as the points stacked once per copy would
     give them.  Returns ``{(name, p): values}``, a float array of one value
     per sample, each bit-identical to what :func:`_evaluate` gives.  A
-    stack with a callable base distance, more than ``_PADDED_BLOCK_CELLS``
-    slot pairs per sample or a ``c**p`` beyond the float range is evaluated
-    one sample at a time.
+    stack with a callable base distance or more than ``_PADDED_BLOCK_CELLS``
+    slot pairs per sample goes to :func:`_evaluate_each` instead.
     """
     (n, k_x), k_y = xs.shape[:2], ys.shape[1]
-    copies = len(x_present) // n
     c = float(c)
-    try:
-        cuts = {p: _cut_powers(c, p) for p in requests}
-    except ValueError:  # each sample then raises it, unless both its sets are empty
-        cuts = None
-    if callable(base) or k_x * k_y > _PADDED_BLOCK_CELLS or cuts is None:
+    if callable(base) or k_x * k_y > _PADDED_BLOCK_CELLS:
         samples = zip(itertools.cycle(xs), x_present, itertools.cycle(ys), y_present)
-        return _evaluate_each(((x[xp], y[yp]) for x, xp, y, yp in samples),
+        return _evaluate_each([(x[xp], y[yp]) for x, xp, y, yp in samples],
                               base, c, alpha, requests)
+    cuts = _cuts(c, requests, x_present.any() or y_present.any())
+    copies = len(x_present) // n
     sample, truth, estimate, distance = _padded_edges(
         xs, x_present.reshape(copies, n, k_x).any(axis=0),
         ys, y_present.reshape(copies, n, k_y).any(axis=0), base, c)
@@ -688,12 +691,8 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
 def cutoff_distance(x, y, c: float, base_distance: BaseDistance = "euclidean") -> float:
     """Base distance between two state vectors, saturated at the cut-off c."""
     GospaParams(c=c, base_distance=base_distance)  # validates
-    xv = as_state_array([x])
-    yv = as_state_array([y])
-    if xv.shape[0] != 1 or yv.shape[0] != 1 or xv.shape[1] < 1 or yv.shape[1] < 1:
-        raise ValueError("inputs must be single state vectors with at least one coordinate")
-    if xv.shape[1] != yv.shape[1]:
-        raise ValueError(f"dimension mismatch: {xv.shape[1]} vs {yv.shape[1]}")
+    xv, yv = as_state_array([x]), as_state_array([y])  # one state of one coordinate or more
+    _require_same_dimension(xv, yv)
     # a coordinate difference beyond the float range is +inf, beyond c
     with np.errstate(over="ignore"):
         d = float(_base_distance_matrix(xv, yv, base_distance)[0, 0])

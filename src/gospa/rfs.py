@@ -395,8 +395,8 @@ def _chunk_values(samplers: Sequence[PairSampler], keys: np.ndarray, base, c: fl
     probabilities draw the chunk once; its points come once, with one copy
     of the existence masks per sampler.  Any other sampler comes alone, is
     called once per key and has its sets padded to the largest.  The stack
-    is solved by one ``metrics._evaluate_padded`` call; a chunk whose sets
-    differ in dimension, one sample at a time.
+    is solved by one ``metrics._evaluate_padded`` call, and a chunk whose
+    sets differ in dimension by one ``metrics._evaluate_each`` call.
     """
     first = samplers[0]
     if isinstance(first, IndependentPairSampler):

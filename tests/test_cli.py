@@ -127,6 +127,19 @@ class TestCompute:
         assert code == 2
         assert "dimension" in err
 
+    def test_states_without_coordinates_exit_2(self, capsys, tmp_path):
+        paths = []
+        for name, points in (("a", [[], []]), ("b", [[]]), ("empty", [])):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"dimension": 0, "points": points}))
+        a, b, empty = map(str, paths)
+        for pair in ((a, b), (a, empty), (empty, b)):
+            code, out, err = run_cli(capsys, "compute", *pair, "--c", "8")
+            assert (code, out) == (2, "")
+            assert "at least one coordinate" in err
+        code, out, _ = run_cli(capsys, "compute", empty, empty, "--c", "8")
+        assert code == 0 and "total: 0" in out
+
     def test_parse_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

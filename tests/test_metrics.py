@@ -1,6 +1,7 @@
 """Tests for the GOSPA / OSPA metric family."""
 
 import collections
+import functools
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gospa import metrics
+from gospa import metrics, rfs
 from gospa.assignment import solve_full_assignment
 from gospa.metrics import (
     GospaParams,
@@ -339,6 +340,15 @@ def test_as_state_array_shapes():
         as_state_array([[[1.0]]])
 
 
+@pytest.mark.parametrize("x, y", [([[], []], [[]]), ([[]], []), ([], [[], [], []]),
+                                  ([[]], [[0.0]])])
+def test_states_without_coordinates_are_rejected(x, y):
+    for metric in (lambda: gospa(x, y, GospaParams(c=1.0)), lambda: ospa(x, y, c=1.0)):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            metric()
+    assert gospa([], np.zeros((0, 3)), GospaParams(c=1.0)).total == 0.0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_scalar_results_are_python_floats():
     x, y = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.3, 0.2], [0.8, 0.4]]
@@ -601,7 +611,6 @@ def test_sweep_and_whole_matrix_give_identical_results(case):
         patch.setattr(metrics, "_SWEEP_MIN_PAIRS", math.inf)
         dense = every_result(*case)
         patch.setattr(metrics, "_SWEEP_MIN_PAIRS", 0)
-        patch.setattr(metrics, "_SWEEP_MAX_SHARE", 1.0)  # never falls back
         swept = every_result(*case)
     assert swept == dense
 
@@ -696,15 +705,15 @@ def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base
 def test_other_stacks_take_the_scalar_kernel(monkeypatch, n_x, n_y, base):
     # every truth within c of every estimate, so no pair is forced and each
     # sample is one component: beyond the enumeration limits for the named
-    # base, so solved by one LAP per sample, and solved sample by sample
-    # through _evaluate for a callable one
+    # base, so solved by one LAP per sample, and with its edges found sample
+    # by sample by _cut_off_graph for a callable one
     rng = np.random.default_rng(3)
     xs, ys = rng.normal(scale=0.1, size=(5, n_x, 2)), rng.normal(scale=0.1, size=(5, n_y, 2))
     calls = []
     if callable(base):
-        evaluate = metrics._evaluate
-        monkeypatch.setattr(metrics, "_evaluate",
-                            lambda *args: calls.append(1) or evaluate(*args))
+        cut_off_graph = metrics._cut_off_graph
+        monkeypatch.setattr(metrics, "_cut_off_graph",
+                            lambda *args: calls.append(1) or cut_off_graph(*args))
     else:
         solve = metrics.solve_full_assignment
         monkeypatch.setattr(metrics, "solve_full_assignment",
@@ -826,11 +835,12 @@ def test_padded_stack_beyond_the_block_size_is_solved_per_sample(monkeypatch):
     rng = np.random.default_rng(5)
     stack = clustered_stack(rng, 4, 6, 7, 2, 3, 0.5, 0.8)
     calls = []
-    evaluate = metrics._evaluate
+    cut_off_graph = metrics._cut_off_graph
     monkeypatch.setattr(metrics, "_PADDED_BLOCK_CELLS", 41)
-    monkeypatch.setattr(metrics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    monkeypatch.setattr(metrics, "_cut_off_graph",
+                        lambda *args: calls.append(1) or cut_off_graph(*args))
     assert_padded_matches_evaluate(*stack, "euclidean", 2.0, 1.0, {1.0: ALL_NAMES})
-    assert len(calls) == 2 * 4
+    assert len(calls) == 2 * 4  # the reference in the helper, then the stack's edges
 
 
 @settings(max_examples=150, deadline=None)
@@ -936,18 +946,101 @@ def test_mask_copies_take_the_fallbacks_on_tiled_points(monkeypatch, fallback):
     else:  # c**p overflows: a sample raises unless both its sets are empty
         c = 1e200
     calls = []
-    evaluate = metrics._evaluate
-    monkeypatch.setattr(metrics, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    cut_off_graph = metrics._cut_off_graph
+    monkeypatch.setattr(metrics, "_cut_off_graph",
+                        lambda *args: calls.append(1) or cut_off_graph(*args))
     for x_present, y_present in (masks, (masks[0] & False, masks[1] & False)):
         calls.clear()
         assert_copies_match_tiled_points(xs, x_present, ys, y_present, base, c, 2.0,
                                          {2.0: ALL_NAMES})
-        assert calls  # each stack went one sample at a time
+        # each stack found its edges one sample at a time; an overflowing
+        # c**p raises, or gives 0 for empty sets, before any edge is sought
+        assert len(calls) == (0 if fallback == "overflow" else 2 * 12)
         if fallback != "overflow" or not x_present.any():
-            assert len(calls) == 2 * 12
             assert_padded_matches_evaluate(np.tile(xs, (3, 1, 1)), x_present,
                                            np.tile(ys, (3, 1, 1)), y_present, base, c, 2.0,
                                            {2.0: ALL_NAMES})
+
+
+# --- lists of pairs solved in one call ----------------------------------------
+
+@st.composite
+def pair_lists(draw):
+    """One to six (truths, estimates) pairs of up to five targets each, each
+    pair in its own dimension from 1 to 3, some sets empty and of shape (0,
+    0); on an integer lattice (exact ties) or in general position."""
+    lattice = draw(st.booleans())
+    elements = (st.integers(0, 4).map(float) if lattice
+                else st.floats(-6.0, 6.0, allow_nan=False))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        dim = draw(st.integers(1, 3))
+        sets = [draw(arrays(np.float64, (draw(st.integers(0, 5)), dim), elements=elements))
+                for _ in range(2)]
+        pairs.append(tuple(np.zeros((0, 0)) if len(points) == 0 and draw(st.booleans())
+                           else points for points in sets))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists(), st.sampled_from(["euclidean", "manhattan", manhattan]),
+       st.sampled_from([1.0, 2.0, 3.0, 1e200]), st.sampled_from([2.0, 1.0, 0.5]),
+       st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=1, max_size=2, unique=True),
+       st.booleans())
+def test_pairs_solved_together_match_each_pair_alone_bitwise(pairs, base, c, alpha, exponents,
+                                                             empty):
+    # integer cut-offs keep lattice ties exact; c = 1e200 makes c**p
+    # overflow for p > 1, which raises unless every set is empty
+    if empty:
+        pairs = [(x[:0], y[:0]) for x, y in pairs]
+    requests = {p: ALL_NAMES for p in exponents}
+    alone = []
+    for x, y in pairs:
+        try:
+            alone.append(metrics._evaluate(x, y, base, c, alpha, requests))
+        except ValueError as exc:
+            alone.append(str(exc))
+    errors = [result for result in alone if isinstance(result, str)]
+    if errors:
+        with pytest.raises(ValueError) as raised:
+            metrics._evaluate_each(pairs, base, c, alpha, requests)
+        assert str(raised.value) == errors[0]
+        return
+    got = metrics._evaluate_each(pairs, base, c, alpha, requests)
+    assert set(got) == {(name, p) for p in exponents for name in ALL_NAMES}
+    for key, values in got.items():
+        assert values.tobytes() == np.array([result[key] for result in alone]).tobytes(), key
+
+
+def some_dimension(seed):
+    """A custom sampler's draw whose sets have 1 to 3 coordinates by seed."""
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 3
+    return rng.normal(size=(int(rng.integers(0, 4)), dim)), rng.normal(size=(3, dim))
+
+
+@pytest.mark.parametrize("route", ["callable", "wide", "mixed dimensions"])
+def test_a_fallback_chunk_is_solved_in_one_call(monkeypatch, route):
+    requests = {1.0: ALL_NAMES, 2.0: ALL_NAMES}
+    base = manhattan if route == "callable" else "euclidean"
+    if route == "mixed dimensions":
+        sampler = rfs.CustomJointSampler(some_dimension)
+        keys = rfs._sample_keys(3, 0, 30)
+        pairs = [sampler.sample_pair(key) for key in keys.tolist()]
+        chunk = functools.partial(rfs._chunk_values, [sampler], keys, base, 2.0, 2.0, requests)
+    else:
+        k = 130 if route == "wide" else 6  # 16,900 slot pairs, beyond the block size
+        stack = clustered_stack(np.random.default_rng(2), 12, k, k, 2, 3, 0.5, 0.7)
+        pairs = [(x[xp], y[yp]) for x, xp, y, yp in zip(*stack)]
+        chunk = functools.partial(metrics._evaluate_padded, *stack, base, 2.0, 2.0, requests)
+    expected = [metrics._evaluate(x, y, base, 2.0, 2.0, requests) for x, y in pairs]
+    calls = []
+    solve = metrics._solve
+    monkeypatch.setattr(metrics, "_solve", lambda *args: calls.append(1) or solve(*args))
+    got = chunk()
+    assert len(calls) == 1
+    for key, values in got.items():
+        assert values.tobytes() == np.array([e[key] for e in expected]).tobytes(), key
 
 
 # --- totals beyond the float range ------------------------------------------

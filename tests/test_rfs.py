@@ -375,6 +375,15 @@ class TestSamplers:
         assert xs.shape == (2, 2) and ys.shape == (2, 2)
         assert np.allclose(ys - xs, 0.1)
 
+    def test_custom_joint_sampler_rejects_states_without_coordinates(self):
+        sampler = CustomJointSampler(lambda seed: ([[], []], [[0.0]]))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            sampler.sample_pair(3)
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            estimate_metric(sampler, GospaParams(c=1.0), EstimatorConfig(samples=4))
+        empty = CustomJointSampler(lambda seed: ([], np.zeros((0, 2))))
+        assert estimate_metric(empty, GospaParams(c=1.0), EstimatorConfig(samples=4)).value == 0.0
+
 
 class TestEstimatorConfig:
     @pytest.mark.parametrize("kwargs", [
