@@ -34,10 +34,11 @@ _SWEEP_MIN_PAIRS = 4096
 # most _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x.
 _ENUMERATION_MAX_TRUTHS = 4
 _ENUMERATION_MAX_INJECTIONS = 1024
-# A padded stack compares only the truth-estimate slot pairs whose ranges
-# over the stack meet, over blocks of samples holding at most this many of
-# them (128 KB a float array); a stack with more slot pairs per sample than
-# this, met or not, finds its edges one sample at a time.
+# A padded stack compares only the truth-estimate slot pairs whose boxes
+# over the stack meet on every coordinate, over blocks of samples holding at
+# most this many of them (128 KB a float array); a stack with more slot
+# pairs per sample than this, met or not, finds its edges one sample at a
+# time.
 _PADDED_BLOCK_CELLS = 16384
 # A component whose best and second-best detected-pair sets differ in cost by
 # at most this share of c**p is solved by the assignment solver instead, so
@@ -233,22 +234,28 @@ def _cut_off_graph(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float)
     return np.zeros(len(truth), dtype=np.intp), truth, estimate, distance
 
 
-def _slot_pairs(x_line: np.ndarray, y_line: np.ndarray, reach: float):
-    """The (truth slot, estimate slot) pairs, as index arrays in ascending
-    (truth, estimate) order, whose ranges over a stack come within ``reach``
-    of each other, given each sample's coordinate of every slot as the rows
-    of ``x_line`` and ``y_line``, NaN where the slot is empty.
+def _slot_pairs(slots: np.ndarray, k_x: int, reach: float):
+    """The (truth slot, estimate slot) pairs whose boxes over a stack come
+    within ``reach`` of each other on every coordinate, as index arrays in
+    ascending (truth, estimate) order, and the coordinate along which the
+    present targets spread widest.  ``slots`` has shape (n, K_x + K_y, D):
+    each sample's truth slots, then its estimate slots, NaN where a slot is
+    empty.
 
-    Rounded subtraction is monotone, so ``x_lo - y_hi`` is at most the
-    difference of the slots in any one sample and ``x_hi - y_lo`` at least
-    it, overflow to ±inf included: a pair within reach in any sample is
-    kept.  A slot empty in every sample has NaN ranges and meets nothing.
+    A slot's box is its NaN-aware smallest and largest value on each
+    coordinate over the samples.  Rounded subtraction is monotone, so
+    ``x_lo - y_hi`` is at most the difference of the slots on that
+    coordinate in any one sample and ``x_hi - y_lo`` at least it, overflow
+    to ±inf included: a pair within reach on every coordinate in some
+    sample is kept.  A slot empty in every sample has a NaN box and meets
+    nothing.
     """
-    x_lo, x_hi = np.fmin.reduce(x_line), np.fmax.reduce(x_line)
-    y_lo, y_hi = np.fmin.reduce(y_line), np.fmax.reduce(y_line)
-    with np.errstate(over="ignore"):  # slots of different samples, never compared
-        near = (x_lo[:, None] - y_hi <= reach) & (x_hi[:, None] - y_lo >= -reach)
-    return near.nonzero()
+    lo, hi = np.fmin.reduce(slots), np.fmax.reduce(slots)
+    # a difference of bounds may overflow to ±inf, which keeps the test exact
+    with np.errstate(over="ignore"):
+        near = (lo[:k_x, None] - hi[k_x:] <= reach) & (hi[:k_x, None] - lo[k_x:] >= -reach)
+        axis = int(np.argmax(np.fmax.reduce(hi) - np.fmin.reduce(lo)))
+    return *near.all(axis=2).nonzero(), axis
 
 
 def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
@@ -257,28 +264,28 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     padded stack, as (sample, truth slot, estimate slot, distance) arrays in
     ascending (sample, truth, estimate) order.
 
-    Candidates are the pairs within reach of each other on the coordinate
-    along which the targets spread widest; an absent target sits at NaN
-    there, within reach of nothing.  Only the slot pairs of
-    :func:`_slot_pairs`, whose ranges over the stack meet, are compared
-    sample by sample, over blocks of at most ``_PADDED_BLOCK_CELLS`` of
-    them, so a stack spread in space costs far less than all K_x * K_y
-    pairs in every sample.  Both named base distances are at least the
-    difference on one coordinate, up to rounding that the relative slack of
-    the reach covers, unless that difference is so small that its square
-    underflows, and every such pair is a candidate.  The candidates'
-    distances come from :func:`_distances`, as in :func:`_cut_off_graph`.
+    Only the slot pairs of :func:`_slot_pairs`, whose boxes over the stack
+    come within reach on every coordinate, are compared sample by sample,
+    over blocks of at most ``_PADDED_BLOCK_CELLS`` of them, so a stack
+    spread in space costs far less than all K_x * K_y pairs in every
+    sample.  They are compared on the coordinate along which the present
+    targets spread widest; an absent target sits at NaN there, within reach
+    of nothing.  Both named base distances are at least the difference on
+    any one coordinate, up to rounding that the relative slack of the reach
+    covers, unless that difference is so small that its square underflows,
+    and every such pair is a candidate.  The candidates' distances come
+    from :func:`_distances`, as in :func:`_cut_off_graph`.
     """
     (n_s, k_x), (k_y, dim) = x_present.shape, ys.shape[1:]
     if not (k_x and k_y):  # no slot pairs, so no edges
         return _no_edges()
     # a coordinate difference beyond the float range is +inf, beyond c
     with np.errstate(over="ignore"):
-        axis = _widest_axis(xs, ys)
-        x_line = np.where(x_present, xs[:, :, axis], np.nan)
-        y_line = np.where(y_present, ys[:, :, axis], np.nan)
+        slots = np.concatenate((xs, ys), axis=1)
+        slots[~np.concatenate((x_present, y_present), axis=1)] = np.nan
         reach = max(c * (1.0 + 1e-9), 1e-150)
-        truth, estimate = _slot_pairs(x_line, y_line, reach)
+        truth, estimate, axis = _slot_pairs(slots, k_x, reach)
+        x_line, y_line = slots[:, :k_x, axis], slots[:, k_x:, axis]
         repeats = np.bincount(truth, minlength=k_x)  # truth slot i's column, once per pair
         step = max(1, _PADDED_BLOCK_CELLS // max(1, len(truth)))
         parts = []

@@ -1289,13 +1289,17 @@ def all_slot_pair_edges(xs, x_present, ys, y_present, base, c):
 def edge_stacks(draw):
     """A padded stack of slots each scattered around its own site, with one
     sample or several, no truth or estimate slots, a slot empty in every
-    sample, and at one of four scales: spread in space, on the integer
-    lattice with ties at exactly c, near the reach floor of 1e-150, and near
-    the float limit, where differences of ranges overflow to ±inf."""
+    sample, and at one of five scales: spread in space; spread in space with
+    every absent target parked at 1e6 on the coordinate along which the
+    present ones spread least, so that the widest spread of all points and
+    that of the present targets lie along different coordinates; on the
+    integer lattice with ties at exactly c; near the reach floor of 1e-150;
+    and near the float limit, where differences of ranges overflow to
+    ±inf."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_s = draw(st.sampled_from([1, 1, 2, 5, 40]))
     k_x, k_y, dim = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(1, 3))
-    scale = draw(st.sampled_from(["spread", "lattice", "tiny", "huge"]))
+    scale = draw(st.sampled_from(["spread", "parked", "lattice", "tiny", "huge"]))
     base = "manhattan" if scale == "lattice" else draw(st.sampled_from(["euclidean", "manhattan"]))
     stack = []
     for k in (k_x, k_y):
@@ -1305,6 +1309,10 @@ def edge_stacks(draw):
         elif scale == "lattice":
             points = (rng.integers(0, 6, (1, k, dim)) + rng.integers(0, 3, (n_s, k, dim))) * 1.0
             c = float(draw(st.integers(1, 3)))
+        elif scale == "parked":
+            points = (rng.uniform(0.0, 30.0, (1, k, dim)) * np.linspace(0.1, 1.0, dim)
+                      + rng.normal(0.0, 2.0, (n_s, k, dim)))
+            c = draw(st.floats(0.5, 8.0))
         elif scale == "tiny":
             c = draw(st.sampled_from([1e-152, 1e-150, 2e-150, 1e-148]))
             points = (rng.uniform(0.0, 4.0, (1, k, dim)) + rng.uniform(0.0, 2.0, (n_s, k, dim))) * c
@@ -1315,6 +1323,8 @@ def edge_stacks(draw):
         present = rng.random((n_s, k)) < draw(st.sampled_from([0.5, 1.0]))
         if k and draw(st.booleans()):
             present[:, rng.integers(k)] = False
+        if scale == "parked":
+            points[~present, 0] = 1e6
         stack += [points, present]
     return stack, base, c
 
@@ -1341,11 +1351,16 @@ def test_padded_edges_are_those_of_every_slot_pair(case):
 def test_slot_pairs_within_reach_exactly_are_kept():
     reach = 2.0 * (1.0 + 1e-9)
     beyond = np.nextafter(reach, np.inf)
-    lines = np.array([[reach, -reach, beyond, -beyond, np.nan]])
-    truth, estimate = metrics._slot_pairs(lines, np.zeros((1, 1)), reach)
-    assert truth.tolist() == [0, 1] and estimate.tolist() == [0, 0]
-    truth, estimate = metrics._slot_pairs(np.zeros((1, 1)), lines, reach)
-    assert truth.tolist() == [0, 0] and estimate.tolist() == [0, 1]
+    line = np.array([[reach, -reach, beyond, -beyond, np.nan]])
+    for coordinate in (0, 1):  # the other coordinate is 0 in every slot
+        lines = np.zeros((1, 5, 2))
+        lines[:, :, coordinate] = line
+        lines[:, 4] = np.nan  # an empty slot is empty on every coordinate
+        origin = np.zeros((1, 1, 2))
+        truth, estimate, _ = metrics._slot_pairs(np.concatenate((lines, origin), axis=1), 5, reach)
+        assert truth.tolist() == [0, 1] and estimate.tolist() == [0, 0]
+        truth, estimate, _ = metrics._slot_pairs(np.concatenate((origin, lines), axis=1), 1, reach)
+        assert truth.tolist() == [0, 0] and estimate.tolist() == [0, 1]
 
 
 def test_spread_stack_takes_the_gap_on_few_slot_pairs():
@@ -1355,11 +1370,14 @@ def test_spread_stack_takes_the_gap_on_few_slot_pairs():
              sites + rng.normal(0.0, 2.0, (50, 2)) + rng.normal(0.0, 1.0, (100, 50, 2)),
              rng.random((100, 50)) < 0.85]
     xs, x_present, ys, y_present = stack
-    axis = metrics._widest_axis(xs, ys)
-    truth, estimate = metrics._slot_pairs(np.where(x_present, xs[:, :, axis], np.nan),
-                                          np.where(y_present, ys[:, :, axis], np.nan), 10.0)
-    assert 50 <= len(truth) < 0.1 * 50 * 50
+    slots = np.concatenate((xs, ys), axis=1)
+    slots[~np.concatenate((x_present, y_present), axis=1)] = np.nan
+    truth, estimate, _ = metrics._slot_pairs(slots, 50, 10.0)
+    # 52 slot pairs hold an edge; a range on one coordinate alone keeps 131
+    assert 50 <= len(truth) <= 60
     assert np.array_equal(np.lexsort((estimate, truth)), np.arange(len(truth)))
-    got = metrics._padded_edges(*stack, "euclidean", 10.0)
-    for column, reference in zip(got, all_slot_pair_edges(*stack, "euclidean", 10.0)):
+    expected = all_slot_pair_edges(*stack, "euclidean", 10.0)
+    held = set(zip(expected[1].tolist(), expected[2].tolist()))
+    assert held <= set(zip(truth.tolist(), estimate.tolist()))
+    for column, reference in zip(metrics._padded_edges(*stack, "euclidean", 10.0), expected):
         assert np.array_equal(column, reference)
