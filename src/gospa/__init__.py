@@ -2,7 +2,7 @@
 localization/missed/false decomposition, and Monte Carlo estimators of
 their expectations over random finite sets."""
 
-from .assignment import AssignmentSet, brute_force_assignment, solve_full_assignment
+from .assignment import AssignmentSet, solve_full_assignment
 from .metrics import (
     GospaBreakdown,
     GospaParams,
@@ -42,7 +42,6 @@ __all__ = [
     "Table1Cell",
     "Table1Result",
     "as_state_array",
-    "brute_force_assignment",
     "cutoff_distance",
     "derive_sample_seed",
     "estimate_metric",

@@ -11,12 +11,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
-
-_BRUTE_FORCE_MAX_ROWS = 7
-_BRUTE_FORCE_MAX_COLS = 8
 
 
 @dataclass(frozen=True)
@@ -246,35 +242,3 @@ def solve_full_assignment(costs) -> AssignmentSet:
         total += cost_rows[i][j]
     return AssignmentSet(pairs=pairs, total_cost=total)
 
-
-def brute_force_assignment(costs) -> AssignmentSet:
-    """Exhaustive reference solver with the same contract as
-    :func:`solve_full_assignment`.
-
-    Enumerates every injection of rows into columns, so inputs are capped
-    at 7 rows / 8 columns; larger matrices raise ``ValueError``.
-    """
-    matrix = _validated_matrix(costs)
-    n_rows, n_cols = matrix.shape
-    if n_rows > n_cols:
-        raise ValueError("cost matrix must have no more rows than columns; transpose the input")
-    if n_rows > _BRUTE_FORCE_MAX_ROWS or n_cols > _BRUTE_FORCE_MAX_COLS:
-        raise ValueError(
-            "oracle limit exceeded: brute force accepts at most "
-            f"{_BRUTE_FORCE_MAX_ROWS}x{_BRUTE_FORCE_MAX_COLS} matrices"
-        )
-
-    cost_rows = matrix.tolist()
-    best_cols = None
-    best_cost = math.inf
-    # itertools.permutations yields column tuples in lexicographic order, so
-    # keeping the first strict improvement realizes the tie-breaking rule.
-    for cols in permutations(range(n_cols), n_rows):
-        total = 0.0
-        for i, j in enumerate(cols):
-            total += cost_rows[i][j]
-        if total < best_cost:
-            best_cost = total
-            best_cols = cols
-    pairs = tuple((i, j) for i, j in enumerate(best_cols))
-    return AssignmentSet(pairs=pairs, total_cost=best_cost)

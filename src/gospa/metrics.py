@@ -27,12 +27,11 @@ _NAMED_BASE_DISTANCES = ("euclidean", "manhattan")
 
 # Inputs with at most this many pairs build the whole distance matrix;
 # larger ones with a named base distance find their close pairs by a sweep.
-# On sets spread in the plane the two cost the same near 2,000 pairs.
-_SWEEP_MIN_PAIRS = 4096
+# On points uniform in a square or cube of side 10c, the two cost the same
+# near 1,850 pairs with the Euclidean base and near 1,300 with Manhattan.
+_SWEEP_MIN_PAIRS = 1800
 # A component of the d < c graph is solved by enumerating every injection of
-# its truths into its estimates when it has at most this many truths and at
-# most _ENUMERATION_MAX_INJECTIONS values of (n_y + 1) ** n_x.
-_ENUMERATION_MAX_TRUTHS = 4
+# its n_x truths into its n_y estimates when (n_y + 1) ** n_x is at most this.
 _ENUMERATION_MAX_INJECTIONS = 1024
 # A padded stack compares only the truth-estimate slot pairs whose boxes
 # over the stack meet on every coordinate, over blocks of samples holding at
@@ -191,13 +190,16 @@ def _sweep_candidates(xs: np.ndarray, ys: np.ndarray, c: float):
     coordinate, so these pairs hold every pair at distance below c.  The
     coordinate is the one the two sets spread widest along; the estimates
     are sorted on it and each truth takes the window of estimates within c,
-    widened by a relative slack so that rounding cannot drop a pair.
+    widened by a relative slack so that rounding cannot drop a pair.  As in
+    :func:`_padded_edges`, the window reaches at least 1e-150, so a pair
+    whose squared differences underflow is a candidate, and the sweep finds
+    the edges that the whole distance matrix finds.
     """
     axis = _widest_axis(xs, ys)
     order = np.argsort(ys[:, axis], kind="stable")
     keys = ys[order, axis]
     centres = xs[:, axis]
-    reach = c + 1e-9 * (c + np.abs(centres))
+    reach = max(c, 1e-150) + 1e-9 * (c + np.abs(centres))
     lo = np.searchsorted(keys, centres - reach, side="left")
     counts = np.searchsorted(keys, centres + reach, side="right") - lo
     ends = np.cumsum(counts)
@@ -325,12 +327,15 @@ def _cuts(c: float, requests: dict[float, Sequence[str]], occupied) -> dict:
 
 
 def _enumerable(n_x, n_y):
-    """Whether n_x truths and n_y estimates, integers or integer arrays, are
-    within the enumeration limits."""
-    # both bases capped so that the integer power cannot wrap
-    bases = np.minimum(n_y, _ENUMERATION_MAX_INJECTIONS) + 1
-    return (np.asarray(n_x) <= _ENUMERATION_MAX_TRUTHS) & (
-        bases ** np.minimum(n_x, _ENUMERATION_MAX_TRUTHS) <= _ENUMERATION_MAX_INJECTIONS)
+    """Whether n_x truths and n_y estimates, integers or integer arrays, have
+    at most ``_ENUMERATION_MAX_INJECTIONS`` values of ``(n_y + 1) ** n_x``.
+
+    The test compares ``n_x * log2(n_y + 1)`` with the limit's log, in
+    floats, so it cannot wrap.  The power equals the limit, a power of two,
+    only where ``n_y + 1`` is a power of two, whose log is exact; elsewhere
+    the two sides differ by far more than rounding."""
+    return (np.multiply(n_x, np.log2(np.add(n_y, 1.0)))
+            <= math.log2(_ENUMERATION_MAX_INJECTIONS))
 
 
 @functools.lru_cache(maxsize=None)
@@ -339,7 +344,8 @@ def _injections(n_x: int, n_y: int) -> np.ndarray:
     each, in lexicographic order.  Entry i is truth i's estimate, or ``n_y``
     when the truth is unpaired, so an unpaired truth ranks after every
     estimate.  The table is read-only, as every caller shares it; the
-    enumeration limits leave about a thousand shapes to cache."""
+    enumeration limit leaves 1,076 shapes of at least one truth and one
+    estimate to cache."""
     rows = [row for row in itertools.product(range(n_y + 1), repeat=n_x)
             if len({j for j in row if j < n_y}) == sum(j < n_y for j in row)]
     table = np.array(rows, dtype=np.intp).reshape(len(rows), n_x)
@@ -347,26 +353,24 @@ def _injections(n_x: int, n_y: int) -> np.ndarray:
     return table
 
 
-def _enumerated_gamma(distances: np.ndarray, c: float, p: float, cut_entry: float):
+def _enumerated_gamma(costs: np.ndarray, cut_entry: float):
     """The detected-pair set of every component of a stack, by enumeration.
 
-    ``distances`` has shape (components, n_x, n_y), with n_x and n_y at
-    least one and +inf or any value of at least c where a pair is no edge.
+    ``costs`` has shape (components, n_x, n_y), with n_x and n_y at least
+    one: ``d**p`` where a pair is an edge (d < c) and +inf where it is not.
     Pairing truth i with estimate j changes the cost by ``d**p - c**p`` on an
-    edge (d < c); a pair that is no edge is out of reach, and an unpaired
-    truth changes nothing.  Of the injections in lexicographic order,
-    ``argmin`` takes the first cheapest, which is the tie rule of
+    edge; a pair that is no edge is out of reach, and an unpaired truth
+    changes nothing.  Of the injections in lexicographic order, ``argmin``
+    takes the first cheapest, which is the tie rule of
     :class:`GospaBreakdown`.
 
-    Returns ``(chosen, costs, unclear)``, each row one component: each
-    truth's estimate (``n_y`` when unpaired), each pair's cost ``min(d, c)**p``,
-    and whether the runner-up lies within ``_ENUMERATION_TIE_GAP * c**p`` of
-    the optimum or the sums overflowed.
+    Returns ``(chosen, unclear)``, each row one component: each truth's
+    estimate (``n_y`` when unpaired), and whether the runner-up lies within
+    ``_ENUMERATION_TIE_GAP * c**p`` of the optimum or the sums overflowed.
     """
-    n_s, n_x, n_y = distances.shape
-    costs = np.minimum(distances, c) ** p  # array powers, as every cost entry
+    n_s, n_x, n_y = costs.shape
     gains = np.zeros((n_s, n_x, n_y + 1))
-    gains[:, :, :n_y] = np.where(distances < c, costs - cut_entry, np.inf)
+    gains[:, :, :n_y] = costs - cut_entry  # +inf where no edge
     injections = _injections(n_x, n_y)
     with np.errstate(over="ignore", invalid="ignore"):
         objective = gains[:, 0, injections[:, 0]]
@@ -380,29 +384,28 @@ def _enumerated_gamma(distances: np.ndarray, c: float, p: float, cut_entry: floa
         best = objective[samples, best_index]
         objective[samples, best_index] = np.inf
         clear = objective.min(axis=1) - best > _ENUMERATION_TIE_GAP * cut_entry
-    return chosen, costs, ~(clear & np.isfinite(best))
+    return chosen, ~(clear & np.isfinite(best))
 
 
-def _component_pairs(block: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     c: float, p: float, cut_entry: float):
+def _component_pairs(costs: np.ndarray, rows: np.ndarray, cols: np.ndarray, cut_entry: float):
     """The detected pairs of one component by the assignment solver, as
     (row, column, cost) arrays.
 
-    ``block`` holds the distances from the truths ``rows`` to the estimates
-    ``cols``, at least c where a pair is no edge.  Dummy columns at ``c**p``
-    after the estimates stand for leaving a truth unpaired, and non-edges
-    cost more than ``c**p``, so no optimum uses them.  The solver returns
-    the lexicographically smallest optimum, which is the tie rule of
+    ``costs`` holds ``d**p`` from the truths ``rows`` to the estimates
+    ``cols``, +inf where a pair is no edge.  Dummy columns at ``c**p`` after
+    the estimates stand for leaving a truth unpaired, and non-edges cost
+    more than ``c**p``, so no optimum uses them.  The solver returns the
+    lexicographically smallest optimum, which is the tie rule of
     :func:`gospa` on this component.
     """
-    edge = block < c
-    costs = np.minimum(block, c) ** p
-    costs[~edge] = min(2.0 * cut_entry, sys.float_info.max)
+    edge = np.isfinite(costs)
+    matrix = np.where(edge, costs, min(2.0 * cut_entry, sys.float_info.max))
     # an optimal gamma leaves a truth unpaired only when all of that truth's
     # estimates are paired, so it pairs at least the smallest row degree
     n_rows, n_cols = costs.shape
     dummies = max(0, n_rows - int(edge.sum(axis=1).min()))
-    matrix = np.hstack([costs, np.full((n_rows, dummies), cut_entry)]) if dummies else costs
+    if dummies:
+        matrix = np.hstack([matrix, np.full((n_rows, dummies), cut_entry)])
     pairs = [(r, k) for r, k in solve_full_assignment(matrix).pairs if k < n_cols and edge[r, k]]
     r, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     return rows[r], cols[k], costs[r, k]
@@ -446,7 +449,7 @@ def _components(rows: np.ndarray, cols: np.ndarray):
             (component[label], component[col_label], int(component[-1]) + 1))
 
 
-def _gamma(edges, k_x: int, k_y: int, c: float, cuts: dict):
+def _gamma(edges, k_x: int, k_y: int, cuts: dict):
     """The optimal detected-pair set γ of every sample for each p of
     ``cuts`` (which maps p to :func:`_cut_powers`), as ``{p: (row, column,
     cost)}`` arrays: truth slot i of sample k is row ``k * K_x + i`` and
@@ -458,16 +461,18 @@ def _gamma(edges, k_x: int, k_y: int, c: float, cuts: dict):
     into the connected components of the edges.  An edge whose two ends
     have no other edge is forced: every optimum takes it.  One sort puts the
     components of the others (:func:`_components`) that have one shape
-    within the enumeration limits side by side, each with its truths and
-    then its estimates in slot order, as a stack for
-    :func:`_enumerated_gamma`.  Any other component, and one whose optimum
-    that finds unclear, goes alone to :func:`_component_pairs`.  Both
-    realize the tie rule of :class:`GospaBreakdown` on each component.
+    within the enumeration limit side by side, each with its truths and
+    then its estimates in slot order.  At each p the edges' costs ``d**p``
+    are taken once: the forced pairs keep theirs, and the others fill their
+    components' blocks of costs, +inf where a pair is no edge, as a stack
+    for :func:`_enumerated_gamma`.  Any other component, and one whose
+    optimum that finds unclear, goes alone to :func:`_component_pairs`.
+    Both realize the tie rule of :class:`GospaBreakdown` on each component.
     """
     sample, truth, estimate, distance = edges
     rows, cols = sample * k_x + truth, sample * k_y + estimate
     forced = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
-    stacks = []  # the unforced components' blocks of distances
+    stacks = []  # the unforced components' blocks, as (fits, cells, shape, truths, estimates)
     if not forced.all():
         free = ~forced
         (row_keys, row_of, col_keys, col_of), (row_comp, col_comp, n_comp) = _components(
@@ -475,11 +480,12 @@ def _gamma(edges, k_x: int, k_y: int, c: float, cuts: dict):
         n_rows = len(row_keys)
         n_r, n_c = np.bincount(row_comp, minlength=n_comp), np.bincount(col_comp, minlength=n_comp)
         shape = np.where(_enumerable(n_r, n_c), n_r * (_ENUMERATION_MAX_INJECTIONS + 1) + n_c, -1)
-        # the components by shape code (-1 beyond the enumeration limits),
+        # the components by shape code (-1 beyond the enumeration limit),
         # each with its rows and then its columns in slot order
         item_comp = np.concatenate([row_comp, col_comp])
         order = np.lexsort((np.arange(len(item_comp)) >= n_rows, item_comp, shape[item_comp]))
         sorted_comp, cells = item_comp[order], n_r * n_c
+        n_cells = int(cells.sum())
         first = _first_of_runs(sorted_comp)
         comps = sorted_comp[first]
         start, cell_start = np.empty((2, n_comp), dtype=np.intp)
@@ -487,31 +493,35 @@ def _gamma(edges, k_x: int, k_y: int, c: float, cuts: dict):
         rank = np.empty(len(order), dtype=np.intp)  # within the component's rows or columns
         rank[order] = np.arange(len(order)) - start[sorted_comp]
         rank[n_rows:] -= n_r[col_comp]
-        # the components' blocks of distances, in that order in one buffer
+        # each free edge's cell in the components' blocks, in that order in one buffer
         edge_comp = row_comp[row_of]
-        buffer = np.full(int(cells.sum()), np.inf)  # no edge: out of reach
-        buffer[cell_start[edge_comp] + rank[row_of] * n_c[edge_comp]
-               + rank[n_rows + col_of]] = distance[free]
+        edge_cell = (cell_start[edge_comp] + rank[row_of] * n_c[edge_comp]
+                     + rank[n_rows + col_of])
         shapes = shape[comps]
         heads = (_first_of_runs(shapes) | (shapes < 0)).nonzero()[0]
         for head, end in zip(heads.tolist(), heads[1:].tolist() + [len(comps)]):
             comp, count = comps[head], end - head
             n, m = int(n_r[comp]), int(n_c[comp])
             items = order[start[comp]:start[comp] + count * (n + m)].reshape(count, -1)
-            block = buffer[cell_start[comp]:cell_start[comp] + count * n * m]
-            stacks.append((shapes[head] >= 0, block.reshape(count, n, m),
+            lo = int(cell_start[comp])
+            stacks.append((shapes[head] >= 0, slice(lo, lo + count * n * m), (count, n, m),
                            row_keys[items[:, :n]], col_keys[items[:, n:] - n_rows]))
-    forced_rows, forced_cols, forced_distances = rows[forced], cols[forced], distance[forced]
+    forced_rows, forced_cols = rows[forced], cols[forced]
     gammas = {}
     for p, (_, cut_entry) in cuts.items():
-        pairs = [(forced_rows, forced_cols, forced_distances ** p)]
-        for fits, block, truths, estimates in stacks:
-            unclear = slice(None)  # a stack beyond the limits holds one component
+        costs = distance ** p
+        pairs = [(forced_rows, forced_cols, costs[forced])]
+        if stacks:
+            buffer = np.full(n_cells, np.inf)  # no edge: out of reach
+            buffer[edge_cell] = costs[free]
+        for fits, block_cells, block_shape, truths, estimates in stacks:
+            block = buffer[block_cells].reshape(block_shape)
+            unclear = slice(None)  # a stack beyond the limit holds one component
             if fits:
-                chosen, costs, unclear = _enumerated_gamma(block, c, p, cut_entry)
+                chosen, unclear = _enumerated_gamma(block, cut_entry)
                 g, r = np.nonzero((chosen < block.shape[2]) & ~unclear[:, None])
-                pairs.append((truths[g, r], estimates[g, chosen[g, r]], costs[g, r, chosen[g, r]]))
-            pairs.extend(_component_pairs(*component, c, p, cut_entry)
+                pairs.append((truths[g, r], estimates[g, chosen[g, r]], block[g, r, chosen[g, r]]))
+            pairs.extend(_component_pairs(*component, cut_entry)
                          for component in zip(block[unclear], truths[unclear], estimates[unclear]))
         gammas[p] = pairs[0] if len(pairs) == 1 else tuple(map(np.concatenate, zip(*pairs)))
     return gammas
@@ -591,7 +601,7 @@ def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.
     return totals, localization
 
 
-def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, c: float, alpha: float,
+def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, alpha: float,
            requests: dict[float, Sequence[str]], cuts: dict):
     """The requested metrics of every sample from its edges, which are as
     :func:`_gamma` takes them: the one solver behind :func:`gospa`,
@@ -601,7 +611,7 @@ def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, c: float, alpha:
     localization)}`` from :func:`_gamma` and :func:`_padded_totals`.
     """
     n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
-    gammas = _gamma(edges, x_present.shape[1], y_present.shape[1], c, cuts)
+    gammas = _gamma(edges, x_present.shape[1], y_present.shape[1], cuts)
     values, details = {}, {}
     for p, names in requests.items():
         cut_p, cut_entry = cuts[p]
@@ -631,7 +641,7 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
     n_x, n_y = len(xs), len(ys)
     cuts = _cuts(c, requests, n_x or n_y)
     present = np.ones((1, n_x), dtype=bool), np.ones((1, n_y), dtype=bool)
-    values, details = _solve(_cut_off_graph(xs, ys, base, c), *present, c, alpha, requests, cuts)
+    values, details = _solve(_cut_off_graph(xs, ys, base, c), *present, alpha, requests, cuts)
     values = {key: float(value[0]) for key, value in values.items()}
     for p, ((truth, estimate, _), localization) in details.items():
         if localization is not None:  # a truth's row is its index, an estimate's column too
@@ -657,8 +667,8 @@ def _evaluate_each(pairs, base: BaseDistance, c: float, alpha: float,
     truth, estimate, distance = (np.concatenate(column) for column in zip(*graphs))
     sample = np.repeat(np.arange(len(graphs)), [len(graph[0]) for graph in graphs])
     x_present, y_present = (np.arange(size.max()) < size[:, None] for size in sizes.T)
-    return _solve((sample, truth, estimate, distance), x_present, y_present, c, alpha,
-                  requests, cuts)[0]
+    return _solve((sample, truth, estimate, distance), x_present, y_present, alpha, requests,
+                  cuts)[0]
 
 
 def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
@@ -692,7 +702,7 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     held = sample + n * np.arange(copies)[:, None]  # each edge's sample in each copy
     copy, edge = (x_present[held, truth] & y_present[held, estimate]).nonzero()
     edges = held[copy, edge], truth[edge], estimate[edge], distance[edge]
-    return _solve(edges, x_present, y_present, c, alpha, requests, cuts)[0]
+    return _solve(edges, x_present, y_present, alpha, requests, cuts)[0]
 
 
 def cutoff_distance(x, y, c: float, base_distance: BaseDistance = "euclidean") -> float:

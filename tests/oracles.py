@@ -2,8 +2,9 @@
 
 Everything here is written in plain Python (math module, explicit loops,
 exhaustive enumeration) so it shares no code path with the package, except
-:func:`gospa_permutation_form`, which reads its inputs through the package
-but solves the assignment with SciPy.
+that :func:`brute_force_assignment` checks its matrix as the package's
+solver does, and :func:`gospa_permutation_form` reads its inputs through
+the package but solves the assignment with SciPy.
 """
 
 from __future__ import annotations
@@ -13,12 +14,16 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from gospa.assignment import AssignmentSet, _validated_matrix
 from gospa.metrics import (
     GospaParams,
     _base_distance_matrix,
     _require_same_dimension,
     as_state_array,
 )
+
+_BRUTE_FORCE_MAX_ROWS = 7
+_BRUTE_FORCE_MAX_COLS = 8
 
 
 def euclidean(x, y) -> float:
@@ -37,6 +42,39 @@ def iter_assignment_sets(n_x: int, n_y: int):
         for rows in combinations(range(n_x), size):
             for cols in permutations(range(n_y), size):
                 yield tuple(zip(rows, cols))
+
+
+def brute_force_assignment(costs) -> AssignmentSet:
+    """Exhaustive reference solver with the same contract as
+    :func:`gospa.assignment.solve_full_assignment`.
+
+    Enumerates every injection of rows into columns, so inputs are capped
+    at 7 rows / 8 columns; larger matrices raise ``ValueError``.
+    """
+    matrix = _validated_matrix(costs)
+    n_rows, n_cols = matrix.shape
+    if n_rows > n_cols:
+        raise ValueError("cost matrix must have no more rows than columns; transpose the input")
+    if n_rows > _BRUTE_FORCE_MAX_ROWS or n_cols > _BRUTE_FORCE_MAX_COLS:
+        raise ValueError(
+            "oracle limit exceeded: brute force accepts at most "
+            f"{_BRUTE_FORCE_MAX_ROWS}x{_BRUTE_FORCE_MAX_COLS} matrices"
+        )
+
+    cost_rows = matrix.tolist()
+    best_cols = None
+    best_cost = math.inf
+    # itertools.permutations yields column tuples in lexicographic order, so
+    # keeping the first strict improvement realizes the tie-breaking rule.
+    for cols in permutations(range(n_cols), n_rows):
+        total = 0.0
+        for i, j in enumerate(cols):
+            total += cost_rows[i][j]
+        if total < best_cost:
+            best_cost = total
+            best_cols = cols
+    pairs = tuple((i, j) for i, j in enumerate(best_cols))
+    return AssignmentSet(pairs=pairs, total_cost=best_cost)
 
 
 def gospa_alpha2_assignment_oracle(x, y, c: float, p: float) -> float:

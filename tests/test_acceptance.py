@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from gospa import cli
-from gospa.assignment import brute_force_assignment, solve_full_assignment
+from gospa.assignment import solve_full_assignment
 from gospa.metrics import GospaParams, gospa, ospa
 from gospa.rfs import TABLE1_N_FALSE, TABLE1_N_MISSED, run_table1
 
 from oracles import (
+    brute_force_assignment,
     gospa_alpha2_assignment_oracle,
     gospa_permutation_form,
     random_target_set,

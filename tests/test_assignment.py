@@ -6,7 +6,9 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gospa.assignment import AssignmentSet, brute_force_assignment, solve_full_assignment
+from gospa.assignment import AssignmentSet, solve_full_assignment
+
+from oracles import brute_force_assignment
 
 
 class TestGoldenCases:

@@ -369,7 +369,7 @@ def test_roots_are_pythons_powers(monkeypatch, power_bases, p):
     totals = np.where(present.any(axis=1), power_bases, 0.0)
     monkeypatch.setattr(metrics, "_padded_totals",
                         lambda *args: ({2.0: totals, 1.0: totals}, None))
-    values, _ = metrics._solve(metrics._no_edges(), present, present[:, :0], 1.0, 2.0,
+    values, _ = metrics._solve(metrics._no_edges(), present, present[:, :0], 2.0,
                                {p: ALL_NAMES}, {p: (1.0, 1.0)})
     roots = np.array([t ** (1.0 / p) for t in totals.tolist()])
     assert values["gospa", p].tobytes() == values["uospa", p].tobytes() == roots.tobytes()
@@ -615,6 +615,22 @@ def test_sweep_and_whole_matrix_give_identical_results(case):
     assert swept == dense
 
 
+def test_sweep_and_whole_matrix_agree_where_squares_underflow():
+    # coordinate differences near 1e-169 square to 0 or a subnormal, so a
+    # distance reads below c for pairs farther apart than c on a coordinate;
+    # the sweep's window reaches 1e-150 at least, so it sees them too
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0.0, 1e-168, (70, 2)), rng.uniform(0.0, 1e-168, (70, 2))
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        for threshold in (math.inf, 0):  # the whole matrix, then the sweep
+            patch.setattr(metrics, "_SWEEP_MIN_PAIRS", threshold)
+            results.append(every_result(x, y, 1e-170, "euclidean", 2.0))
+    dense, swept = results
+    assert len(dense[2]) == 70
+    assert swept == dense
+
+
 def test_a_callable_base_distance_never_takes_the_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("a callable gives no bound on one coordinate")
@@ -700,7 +716,24 @@ def test_general_position_needs_no_scalar_solve(monkeypatch, n_x, n_y, dim, base
             assert values.tolist() == [e[key] for e in expected]
 
 
-@pytest.mark.parametrize("n_x, n_y, base", [(5, 2, "euclidean"), (3, 10, "euclidean"),
+def test_the_enumeration_limit_is_exact_and_cannot_wrap():
+    # (n_y + 1) ** n_x up to 1,024 is enumerated, one step more is not
+    within = [(1, 1023), (2, 31), (3, 9), (4, 4), (5, 3), (6, 2), (10, 1), (0, 5000)]
+    beyond = [(1, 1024), (2, 32), (3, 10), (4, 5), (5, 4), (7, 2), (11, 1)]
+    for n_x, n_y in within:
+        assert metrics._enumerable(n_x, n_y), (n_x, n_y)
+    for n_x, n_y in beyond:
+        assert not metrics._enumerable(n_x, n_y), (n_x, n_y)
+    (n_x, n_y), (m_x, m_y) = (np.array(shapes).T for shapes in (within, beyond))
+    assert metrics._enumerable(n_x, n_y).all() and not metrics._enumerable(m_x, m_y).any()
+    largest = np.iinfo(np.int64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not metrics._enumerable(np.array([largest, 64, 1, 2 ** 40]),
+                                       np.array([1, 1, largest, 2 ** 40])).any()
+
+
+@pytest.mark.parametrize("n_x, n_y, base", [(5, 4, "euclidean"), (3, 10, "euclidean"),
                                             (2, 3, manhattan)])
 def test_other_stacks_take_the_scalar_kernel(monkeypatch, n_x, n_y, base):
     # every truth within c of every estimate, so no pair is forced and each
@@ -742,7 +775,8 @@ def test_enumeration_takes_the_tie_rule_and_hands_ties_on(stack, c, p):
     xs, ys = stack
     c = float(c)
     distances = metrics._distances(xs[:, :, None, :] - ys[:, None, :, :], "manhattan")
-    chosen, _, unclear = metrics._enumerated_gamma(distances, c, p, c ** p)
+    costs = np.where(distances < c, distances, np.inf) ** p  # +inf where no edge
+    chosen, unclear = metrics._enumerated_gamma(costs, c ** p)
     for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         gamma = tuple((i, j) for i, j in enumerate(chosen[k].tolist()) if j < len(y))
         assert gamma == gospa_alpha2_gamma_oracle(x, y, c, p, distance=manhattan)
@@ -1170,6 +1204,24 @@ def test_separate_small_clusters_need_no_lap(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n_x, n_y", [(6, 2), (10, 1)])
+def test_many_truths_on_few_estimates_need_no_lap(monkeypatch, n_x, n_y):
+    # every truth within c of every estimate, so each sample is one
+    # component, whose (n_y + 1) ** n_x injections (729 and 1,024) are
+    # within the enumeration limit
+    rng = np.random.default_rng(n_x)
+    xs, ys = rng.uniform(0.0, 1.0, (5, n_x, 2)), rng.uniform(0.0, 1.0, (5, n_y, 2))
+    c, p = 2.0, 2.0
+    calls = count_lap_calls(monkeypatch)
+    got = evaluate_stack(xs, ys, "euclidean", c, 2.0, {p: ALL_NAMES})
+    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        detected = gospa(x, y, GospaParams(c=c, alpha=2.0, p=p))
+        assert got["gospa", p][k] == detected.total
+        assert len(detected.assignment.pairs) == n_y
+        assert detected.assignment.pairs == gospa_alpha2_gamma_oracle(x, y, c, p)
+    assert calls == []
+
+
 def test_only_large_or_unclear_components_take_the_lap(monkeypatch):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
@@ -1230,7 +1282,7 @@ def test_each_samples_gamma_is_the_oracles(case, p):
     (xs, x_present, ys, y_present), base, c = case
     edges = metrics._padded_edges(xs, x_present, ys, y_present, base, c)
     k_x, k_y = x_present.shape[1], y_present.shape[1]
-    row, col, _ = metrics._gamma(edges, k_x, k_y, c, {p: metrics._cut_powers(c, p)})[p]
+    row, col, _ = metrics._gamma(edges, k_x, k_y, {p: metrics._cut_powers(c, p)})[p]
     for k, (x, xp, y, yp) in enumerate(zip(xs, x_present, ys, y_present)):
         # the oracle numbers each sample's present targets from 0
         x_index, y_index = np.cumsum(xp) - 1, np.cumsum(yp) - 1
