@@ -5,6 +5,10 @@ a CSV file with one comma-separated point per line is accepted as a
 convenience.  Multi-Bernoulli models are JSON objects with a
 ``components`` list of ``{"existence": e, "mean": [...],
 "covariance": [[...], ...]}`` entries.
+
+Both readers go through ``_read``: a file that cannot be decoded as UTF-8,
+parsed or checked, however deeply it nests, raises a ValueError whose
+message starts with the file's path.
 """
 
 from __future__ import annotations
@@ -39,20 +43,14 @@ def point_set_from_document(document) -> np.ndarray:
     points = document["points"]
     if not isinstance(points, list):
         raise ValueError("points must be a list of coordinate lists")
-    rows = []
     for index, point in enumerate(points):
         if not isinstance(point, list) or len(point) != dimension:
             raise ValueError(f"point {index} must be a list of {dimension} coordinates")
-        row = []
         for value in point:
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
                     or not _is_finite(value):
                 raise ValueError(f"point {index} has a non-finite coordinate")
-            row.append(float(value))
-        rows.append(row)
-    if not rows:
-        return np.zeros((0, dimension))
-    return np.array(rows)
+    return np.array(points, dtype=float).reshape(len(points), dimension)
 
 
 def _point_set_from_csv(text: str) -> np.ndarray:
@@ -78,19 +76,20 @@ def _point_set_from_csv(text: str) -> np.ndarray:
     return np.array(rows)
 
 
-def read_point_set(path) -> np.ndarray:
+def _read(path, parse):
+    """``parse`` of the file's UTF-8 text.  An OSError already names the
+    file and passes on unchanged."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".csv":
-        try:
-            return _point_set_from_csv(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
     try:
-        document = json.loads(text)
-        return point_set_from_document(document)
-    except ValueError as exc:
+        return parse(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def read_point_set(path) -> np.ndarray:
+    if Path(path).suffix.lower() == ".csv":
+        return _read(path, _point_set_from_csv)
+    return _read(path, lambda text: point_set_from_document(json.loads(text)))
 
 
 def multi_bernoulli_to_document(model: MultiBernoulli) -> dict:
@@ -131,9 +130,4 @@ def multi_bernoulli_from_document(document) -> MultiBernoulli:
 
 
 def read_multi_bernoulli(path) -> MultiBernoulli:
-    path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-        return multi_bernoulli_from_document(document)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _read(path, lambda text: multi_bernoulli_from_document(json.loads(text)))

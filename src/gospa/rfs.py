@@ -53,7 +53,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .metrics import (GospaParams, _evaluate_each, _evaluate_padded, _is_finite, _powers,
-                      as_state_array)
+                      _require_same_dimension, as_state_array)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -306,8 +306,7 @@ class CustomJointSampler:
         x, y = self.draw(_validated_seed(seed))
         xs = as_state_array(x)
         ys = as_state_array(y)
-        if xs.shape[1] > 0 and ys.shape[1] > 0 and xs.shape[1] != ys.shape[1]:
-            raise ValueError("sampled pair must share one dimension")
+        _require_same_dimension(xs, ys)
         return xs, ys
 
 

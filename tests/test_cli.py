@@ -787,6 +787,23 @@ def test_workers_help_says_it_has_no_effect(capsys):
         assert "no effect" in " ".join(out.split())
 
 
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("field", ["points", "components"])
+@pytest.mark.parametrize("command", ["compute", "mean"])
+def test_a_deeply_nested_file_exit_2_naming_it(capsys, tmp_path, command, field, depth):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"dimension": 1, "%s": %s0%s}' % (field, "[" * depth, "]" * depth))
+    if command == "compute":
+        good = write_points(tmp_path / "good.json", [[0.0]])
+    else:
+        good = write_model(tmp_path / "good.json", rfs.MultiBernoulli((
+            rfs.BernoulliComponent(1.0, [0.0], np.zeros((1, 1))),)))
+    code, out, err = run_cli(capsys, command, good, str(deep), "--c", "8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "gospa", "compute", "--help"],

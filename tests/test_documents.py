@@ -45,10 +45,45 @@ class TestPointSetDocuments:
         {"dimension": 1, "points": [["a"]]},
         {"dimension": 1, "points": "nope"},
         {"dimension": 1, "points": [[10 ** 400]]},
+        {"dimension": 1, "points": [[None]]},
     ])
     def test_rejects_malformed(self, doc):
         with pytest.raises(ValueError):
             point_set_from_document(doc)
+
+    @pytest.mark.parametrize("points, dimension", [
+        ([[2 ** 53 + 1, -(2 ** 63) - 1], [2 ** 64 + 12345, 123456789012345678901234567890]], 2),
+        ([[10 ** 308, 17 * 10 ** 307, -(2 ** 1023)], [1.7976931348623157e308, -0.0, 5e-324]], 3),
+        ([[np.float64(0.1), 3], [np.float64(-2.5), 1e-300]], 2),
+        ([[]], 0),
+        ([], 0),
+        ([], 3),
+    ])
+    def test_arrays_are_each_value_as_a_python_float(self, points, dimension):
+        array = point_set_from_document({"dimension": dimension, "points": points})
+        expected = np.array([float(value) for row in points for value in row],
+                            dtype=np.float64).reshape(len(points), dimension)
+        assert array.dtype == np.float64 and array.shape == expected.shape
+        assert array.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [
+        True, False, "1.0", None, 10 ** 400, -(10 ** 400), float("nan"), float("inf"),
+        np.int64(1), [1.0],
+    ])
+    def test_each_rejected_coordinate_names_its_point(self, value):
+        doc = {"dimension": 2, "points": [[0.0, 1.0], [2.0, value]]}
+        with pytest.raises(ValueError, match=r"^point 1 has a non-finite coordinate$"):
+            point_set_from_document(doc)
+
+    @pytest.mark.parametrize("reader, suffix", [
+        (read_point_set, ".json"), (read_point_set, ".csv"), (read_multi_bernoulli, ".json"),
+    ])
+    def test_undecodable_file_is_named(self, tmp_path, reader, suffix):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError) as raised:
+            reader(path)
+        assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode")
 
     def test_read_json_file(self, tmp_path):
         path = tmp_path / "points.json"

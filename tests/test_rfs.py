@@ -375,6 +375,11 @@ class TestSamplers:
         assert xs.shape == (2, 2) and ys.shape == (2, 2)
         assert np.allclose(ys - xs, 0.1)
 
+    def test_custom_joint_sampler_rejects_a_pair_of_two_dimensions(self):
+        sampler = CustomJointSampler(lambda seed: (np.zeros((1, 2)), np.zeros((2, 3))))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+            sampler.sample_pair(3)
+
     def test_custom_joint_sampler_rejects_states_without_coordinates(self):
         sampler = CustomJointSampler(lambda seed: ([[], []], [[0.0]]))
         with pytest.raises(ValueError, match="at least one coordinate"):
