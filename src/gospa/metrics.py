@@ -304,26 +304,22 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     return sample[edge], truth[edge], estimate[edge], distance[edge]
 
 
-def _cut_powers(c: float, p: float) -> tuple[float, float]:
-    """``(cut_p, cut_entry)``: ``c**p`` as a Python float power, which the
-    totals take, and as a NumPy array power, which every cost entry takes;
-    for some p the two differ in the last bit.  Raises ValueError, and lets
-    no NumPy warning out, when either is beyond the float range."""
+def _cut_powers(c: float, p: float) -> float:
+    """``c**p`` by Python's float ``**``, libm's ``pow``, as every root and
+    outer power is taken: the cost of a pair at distance c or more, and
+    alpha times that of a missed or false target.  Every sum and penalty
+    takes this one value.  Raises ValueError when it is beyond the float
+    range."""
     try:
-        cut_p = c ** p
+        return c ** float(p)
     except OverflowError:
-        cut_p = math.inf
-    with np.errstate(over="ignore"):
-        cut_entry = float((np.full(1, c) ** p)[0])
-    if not (math.isfinite(cut_p) and math.isfinite(cut_entry)):
-        raise ValueError("cost matrix entries must be finite")
-    return cut_p, cut_entry
+        raise ValueError("cost matrix entries must be finite") from None
 
 
 def _cuts(c: float, requests: dict[float, Sequence[str]], occupied) -> dict:
-    """:func:`_cut_powers` at each requested p, or (0.0, 0.0) when no set is
+    """:func:`_cut_powers` at each requested p, or 0.0 when no set is
     ``occupied``: empty sets cost 0 whatever ``c**p`` is."""
-    return {p: _cut_powers(c, p) if occupied else (0.0, 0.0) for p in requests}
+    return {p: _cut_powers(c, p) if occupied else 0.0 for p in requests}
 
 
 def _enumerable(n_x, n_y):
@@ -353,16 +349,16 @@ def _injections(n_x: int, n_y: int) -> np.ndarray:
     return table
 
 
-def _enumerated_gamma(costs: np.ndarray, cut_entry: float):
+def _enumerated_gamma(costs: np.ndarray, cut: float):
     """The detected-pair set of every component of a stack, by enumeration.
 
     ``costs`` has shape (components, n_x, n_y), with n_x and n_y at least
     one: ``d**p`` where a pair is an edge (d < c) and +inf where it is not.
-    Pairing truth i with estimate j changes the cost by ``d**p - c**p`` on an
-    edge; a pair that is no edge is out of reach, and an unpaired truth
-    changes nothing.  Of the injections in lexicographic order, ``argmin``
-    takes the first cheapest, which is the tie rule of
-    :class:`GospaBreakdown`.
+    ``cut`` is ``c**p`` from :func:`_cut_powers`.  Pairing truth i with
+    estimate j changes the cost by ``d**p - cut`` on an edge; a pair that is
+    no edge is out of reach, and an unpaired truth changes nothing.  Of the
+    injections in lexicographic order, ``argmin`` takes the first cheapest,
+    which is the tie rule of :class:`GospaBreakdown`.
 
     Returns ``(chosen, unclear)``, each row one component: each truth's
     estimate (``n_y`` when unpaired), and whether the runner-up lies within
@@ -370,7 +366,7 @@ def _enumerated_gamma(costs: np.ndarray, cut_entry: float):
     """
     n_s, n_x, n_y = costs.shape
     gains = np.zeros((n_s, n_x, n_y + 1))
-    gains[:, :, :n_y] = costs - cut_entry  # +inf where no edge
+    gains[:, :, :n_y] = costs - cut  # +inf where no edge
     injections = _injections(n_x, n_y)
     with np.errstate(over="ignore", invalid="ignore"):
         objective = gains[:, 0, injections[:, 0]]
@@ -383,29 +379,29 @@ def _enumerated_gamma(costs: np.ndarray, cut_entry: float):
         samples = np.arange(n_s)
         best = objective[samples, best_index]
         objective[samples, best_index] = np.inf
-        clear = objective.min(axis=1) - best > _ENUMERATION_TIE_GAP * cut_entry
+        clear = objective.min(axis=1) - best > _ENUMERATION_TIE_GAP * cut
     return chosen, ~(clear & np.isfinite(best))
 
 
-def _component_pairs(costs: np.ndarray, rows: np.ndarray, cols: np.ndarray, cut_entry: float):
+def _component_pairs(costs: np.ndarray, rows: np.ndarray, cols: np.ndarray, cut: float):
     """The detected pairs of one component by the assignment solver, as
     (row, column, cost) arrays.
 
     ``costs`` holds ``d**p`` from the truths ``rows`` to the estimates
-    ``cols``, +inf where a pair is no edge.  Dummy columns at ``c**p`` after
-    the estimates stand for leaving a truth unpaired, and non-edges cost
-    more than ``c**p``, so no optimum uses them.  The solver returns the
-    lexicographically smallest optimum, which is the tie rule of
-    :func:`gospa` on this component.
+    ``cols``, +inf where a pair is no edge.  Dummy columns at ``cut``, the
+    ``c**p`` of :func:`_cut_powers`, after the estimates stand for leaving a
+    truth unpaired, and non-edges cost more than ``cut``, so no optimum uses
+    them.  The solver returns the lexicographically smallest optimum, which
+    is the tie rule of :func:`gospa` on this component.
     """
     edge = np.isfinite(costs)
-    matrix = np.where(edge, costs, min(2.0 * cut_entry, sys.float_info.max))
+    matrix = np.where(edge, costs, min(2.0 * cut, sys.float_info.max))
     # an optimal gamma leaves a truth unpaired only when all of that truth's
     # estimates are paired, so it pairs at least the smallest row degree
     n_rows, n_cols = costs.shape
     dummies = max(0, n_rows - int(edge.sum(axis=1).min()))
     if dummies:
-        matrix = np.hstack([matrix, np.full((n_rows, dummies), cut_entry)])
+        matrix = np.hstack([matrix, np.full((n_rows, dummies), cut)])
     pairs = [(r, k) for r, k in solve_full_assignment(matrix).pairs if k < n_cols and edge[r, k]]
     r, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     return rows[r], cols[k], costs[r, k]
@@ -451,7 +447,7 @@ def _components(rows: np.ndarray, cols: np.ndarray):
 
 def _gamma(edges, k_x: int, k_y: int, cuts: dict):
     """The optimal detected-pair set γ of every sample for each p of
-    ``cuts`` (which maps p to :func:`_cut_powers`), as ``{p: (row, column,
+    ``cuts`` (from :func:`_cuts`, p to ``c**p``), as ``{p: (row, column,
     cost)}`` arrays: truth slot i of sample k is row ``k * K_x + i`` and
     estimate slot j column ``k * K_y + j``.
 
@@ -508,7 +504,7 @@ def _gamma(edges, k_x: int, k_y: int, cuts: dict):
                            row_keys[items[:, :n]], col_keys[items[:, n:] - n_rows]))
     forced_rows, forced_cols = rows[forced], cols[forced]
     gammas = {}
-    for p, (_, cut_entry) in cuts.items():
+    for p, cut in cuts.items():
         costs = distance ** p
         pairs = [(forced_rows, forced_cols, costs[forced])]
         if stacks:
@@ -518,10 +514,10 @@ def _gamma(edges, k_x: int, k_y: int, cuts: dict):
             block = buffer[block_cells].reshape(block_shape)
             unclear = slice(None)  # a stack beyond the limit holds one component
             if fits:
-                chosen, unclear = _enumerated_gamma(block, cut_entry)
+                chosen, unclear = _enumerated_gamma(block, cut)
                 g, r = np.nonzero((chosen < block.shape[2]) & ~unclear[:, None])
                 pairs.append((truths[g, r], estimates[g, chosen[g, r]], block[g, r, chosen[g, r]]))
-            pairs.extend(_component_pairs(*component, cut_entry)
+            pairs.extend(_component_pairs(*component, cut)
                          for component in zip(block[unclear], truths[unclear], estimates[unclear]))
         gammas[p] = pairs[0] if len(pairs) == 1 else tuple(map(np.concatenate, zip(*pairs)))
     return gammas
@@ -564,17 +560,18 @@ def _slot_sums(slots: np.ndarray) -> np.ndarray:
 
 
 def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.ndarray,
-                   n_y: np.ndarray, cut_entry: float, cut_p: float, alphas):
+                   n_y: np.ndarray, cut: float, alphas):
     """GOSPA**p at each of ``alphas`` for every sample, the one summer of
     the package, and with ``alpha == 2`` each sample's localization cost.
 
     ``pairs`` are γ as :func:`_gamma` gives it, ``n_x`` and ``n_y`` count
     each sample's present slots.  Each sum accumulates left to right along
     the slots, by :func:`_slot_sums`, so a sample's total does not depend on
-    the stack it is summed in: a slot holds its pair's cost, the cost entry
-    when its target is present and unpaired, or 0.0 (exact to add) when it
-    is absent.  A total beyond the float range raises ValueError, with no
-    NumPy warning.
+    the stack it is summed in: a slot holds its pair's cost, ``cut`` (the
+    ``c**p`` of :func:`_cut_powers`) when its target is present and
+    unpaired, or 0.0 (exact to add) when it is absent.  Each missed or
+    false target adds ``cut / alpha``.  A total beyond the float range
+    raises ValueError, with no NumPy warning.
     """
     row, col, cost = pairs
     totals, localization = {}, None
@@ -584,18 +581,18 @@ def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.
             slots.reshape(-1)[row] = cost
             localization = _slot_sums(slots)
             detected = np.bincount(row // x_present.shape[1], minlength=len(x_present))
-            totals[2.0] = localization + (cut_p / 2.0) * ((n_x - detected) + (n_y - detected))
+            totals[2.0] = localization + (cut / 2.0) * ((n_x - detected) + (n_y - detected))
         if alphas - {2.0}:
             # the complete assignment of the smaller set, in its index order;
             # a target outside gamma is paired at the cut-off
             sums = []
             for present, index in ((x_present, row), (y_present, col)):
-                slots = np.where(present, cut_entry, 0.0)
+                slots = np.where(present, cut, 0.0)
                 slots.reshape(-1)[index] = cost
                 sums.append(_slot_sums(slots))
             lap_total = np.where(n_x <= n_y, *sums)
             for alpha in alphas - {2.0}:
-                totals[alpha] = lap_total + (cut_p / alpha) * np.abs(n_y - n_x)
+                totals[alpha] = lap_total + (cut / alpha) * np.abs(n_y - n_x)
     if not all(np.isfinite(total).all() for total in totals.values()):
         raise ValueError("cost matrix entries must be finite")
     return totals, localization
@@ -614,9 +611,8 @@ def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, alpha: float,
     gammas = _gamma(edges, x_present.shape[1], y_present.shape[1], cuts)
     values, details = {}, {}
     for p, names in requests.items():
-        cut_p, cut_entry = cuts[p]
         totals, localization = _padded_totals(
-            gammas[p], x_present, y_present, n_x, n_y, cut_entry, cut_p,
+            gammas[p], x_present, y_present, n_x, n_y, cuts[p],
             {alpha if name == "gospa" else 1.0 for name in names})
         details[p] = (gammas[p], localization)
         for name in names:
@@ -637,7 +633,7 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
     ``alpha == 2`` a "gospa" entry comes with a ("decomposition", p) entry,
     ``(gamma, missed, false, localization_p, half_cut_p)``.
     """
-    c = float(c)  # an integer c would make the cost entry c**p a wrapping int64 power
+    c = float(c)  # a NumPy c would make c**p NumPy's power
     n_x, n_y = len(xs), len(ys)
     cuts = _cuts(c, requests, n_x or n_y)
     present = np.ones((1, n_x), dtype=bool), np.ones((1, n_y), dtype=bool)
@@ -648,7 +644,7 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
             order = np.argsort(truth)
             gamma = tuple(zip(truth[order].tolist(), estimate[order].tolist()))
             values["decomposition", p] = (gamma, n_x - len(gamma), n_y - len(gamma),
-                                          float(localization[0]), cuts[p][0] / 2.0)
+                                          float(localization[0]), cuts[p] / 2.0)
     return values
 
 

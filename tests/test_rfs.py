@@ -670,6 +670,19 @@ def test_mean_of_powers_whose_sum_overflows_is_finite_without_warnings():
     assert 0.0 < result.standard_error < result.value
 
 
+@pytest.mark.parametrize("variant", ["ospa", "uospa"])
+def test_samples_that_all_cost_the_cutoff_have_no_standard_error(variant):
+    # present or absent, the estimate is too far to pair, so every sample
+    # costs c**p once: as a missed truth, or as a truth and an estimate
+    # unpaired in the complete assignment
+    sampler = IndependentPairSampler(_point_model([[0.0, 0.0]]),
+                                     _point_model([[1e6, 0.0]], [0.5]))
+    params = GospaParams(c=8.595399101725773, p=3.5)
+    result = estimate_metric(sampler, params, EstimatorConfig(samples=200, master_seed=1),
+                             variant=variant)
+    assert result.standard_error == 0.0
+
+
 def test_standard_error_scaling_is_exact():
     rng = np.random.default_rng(4)
     for scale in (1.0, 1e-3, 7.5, 1e12):
