@@ -285,7 +285,7 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     with np.errstate(over="ignore"):
         slots = np.concatenate((xs, ys), axis=1)
         slots[~np.concatenate((x_present, y_present), axis=1)] = np.nan
-        reach = max(c * (1.0 + 1e-9), 1e-150)
+        reach = max(float(c) * (1.0 + 1e-9), 1e-150)  # a float32 c would drop the slack
         truth, estimate, axis = _slot_pairs(slots, k_x, reach)
         x_line, y_line = slots[:, :k_x, axis], slots[:, k_x:, axis]
         repeats = np.bincount(truth, minlength=k_x)  # truth slot i's column, once per pair
@@ -306,20 +306,14 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
 
 def _cut_powers(c: float, p: float) -> float:
     """``c**p`` by Python's float ``**``, libm's ``pow``, as every root and
-    outer power is taken: the cost of a pair at distance c or more, and
-    alpha times that of a missed or false target.  Every sum and penalty
-    takes this one value.  Raises ValueError when it is beyond the float
-    range."""
+    outer power is taken, whatever real types c and p come as: the cost of
+    a pair at distance c or more, and alpha times that of a missed or false
+    target.  :func:`_solve` takes it once per p for every sum and penalty.
+    Raises ValueError when it is beyond the float range."""
     try:
-        return c ** float(p)
+        return float(c) ** float(p)
     except OverflowError:
         raise ValueError("cost matrix entries must be finite") from None
-
-
-def _cuts(c: float, requests: dict[float, Sequence[str]], occupied) -> dict:
-    """:func:`_cut_powers` at each requested p, or 0.0 when no set is
-    ``occupied``: empty sets cost 0 whatever ``c**p`` is."""
-    return {p: _cut_powers(c, p) if occupied else 0.0 for p in requests}
 
 
 def _enumerable(n_x, n_y):
@@ -447,9 +441,9 @@ def _components(rows: np.ndarray, cols: np.ndarray):
 
 def _gamma(edges, k_x: int, k_y: int, cuts: dict):
     """The optimal detected-pair set γ of every sample for each p of
-    ``cuts`` (from :func:`_cuts`, p to ``c**p``), as ``{p: (row, column,
-    cost)}`` arrays: truth slot i of sample k is row ``k * K_x + i`` and
-    estimate slot j column ``k * K_y + j``.
+    ``cuts`` (p to ``c**p``, as :func:`_solve` prices it), as ``{p: (row,
+    column, cost)}`` arrays: truth slot i of sample k is row ``k * K_x + i``
+    and estimate slot j column ``k * K_y + j``.
 
     ``edges`` are (sample, truth slot, estimate slot, distance) arrays in
     ascending (sample, truth) order, the pairs closer than c.  Any other pair
@@ -598,28 +592,40 @@ def _padded_totals(pairs, x_present: np.ndarray, y_present: np.ndarray, n_x: np.
     return totals, localization
 
 
-def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, alpha: float,
-           requests: dict[float, Sequence[str]], cuts: dict):
-    """The requested metrics of every sample from its edges, which are as
-    :func:`_gamma` takes them: the one solver behind :func:`gospa`,
-    :func:`ospa` and the Monte Carlo estimators.  ``x_present`` and
-    ``y_present`` mark each sample's present slots.  Returns ``{(name, p):
-    values}``, a float array of one value per sample, and ``{p: (γ,
-    localization)}`` from :func:`_gamma` and :func:`_padded_totals`.
+def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, c: float, alpha: float,
+           requests: dict[float, Sequence[str]]):
+    """The requested metrics of every sample from its edges, the pairs
+    closer than c as :func:`_gamma` takes them: the one solver behind
+    :func:`gospa`, :func:`ospa` and the Monte Carlo estimators.
+    ``x_present`` and ``y_present`` mark each sample's present slots.  Each
+    p's ``c**p`` comes from :func:`_cut_powers`, or is 0.0 where that
+    overflows and no sample holds a target: empty sets cost 0.  OSPA is
+    exactly c in a sample that holds a target and no pair.  Returns ``{(name,
+    p): values}``, one value per sample, and ``{p: (γ, localization, c**p)}``.
     """
     n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
+    try:
+        cuts = {p: _cut_powers(c, p) for p in requests}
+    except ValueError:
+        if n_x.any() or n_y.any():
+            raise
+        cuts = dict.fromkeys(requests, 0.0)
     gammas = _gamma(edges, x_present.shape[1], y_present.shape[1], cuts)
     values, details = {}, {}
     for p, names in requests.items():
         totals, localization = _padded_totals(
             gammas[p], x_present, y_present, n_x, n_y, cuts[p],
             {alpha if name == "gospa" else 1.0 for name in names})
-        details[p] = (gammas[p], localization)
+        details[p] = (gammas[p], localization, cuts[p])
         for name in names:
             total = totals[alpha if name == "gospa" else 1.0]
             if name == "ospa":  # where both sets are empty, the total is 0.0
                 total = total / np.maximum(np.maximum(n_x, n_y), 1)
             values[name, p] = _powers(total, 1.0 / p)
+        if "ospa" in names:  # c**p * n / n, rooted, need not be c
+            pairs = np.bincount(gammas[p][0] // x_present.shape[1], minlength=len(n_x))
+            values["ospa", p] = np.where(pairs, values["ospa", p],
+                                         np.where(n_x + n_y, float(c), 0.0))
     return values, details
 
 
@@ -633,18 +639,16 @@ def _evaluate(xs: np.ndarray, ys: np.ndarray, base: BaseDistance, c: float,
     ``alpha == 2`` a "gospa" entry comes with a ("decomposition", p) entry,
     ``(gamma, missed, false, localization_p, half_cut_p)``.
     """
-    c = float(c)  # a NumPy c would make c**p NumPy's power
     n_x, n_y = len(xs), len(ys)
-    cuts = _cuts(c, requests, n_x or n_y)
     present = np.ones((1, n_x), dtype=bool), np.ones((1, n_y), dtype=bool)
-    values, details = _solve(_cut_off_graph(xs, ys, base, c), *present, alpha, requests, cuts)
+    values, details = _solve(_cut_off_graph(xs, ys, base, c), *present, c, alpha, requests)
     values = {key: float(value[0]) for key, value in values.items()}
-    for p, ((truth, estimate, _), localization) in details.items():
+    for p, ((truth, estimate, _), localization, cut) in details.items():
         if localization is not None:  # a truth's row is its index, an estimate's column too
             order = np.argsort(truth)
             gamma = tuple(zip(truth[order].tolist(), estimate[order].tolist()))
             values["decomposition", p] = (gamma, n_x - len(gamma), n_y - len(gamma),
-                                          float(localization[0]), cuts[p] / 2.0)
+                                          float(localization[0]), cut / 2.0)
     return values
 
 
@@ -656,15 +660,12 @@ def _evaluate_each(pairs, base: BaseDistance, c: float, alpha: float,
     :func:`_cut_off_graph`, and one :func:`_solve` call takes every sample.
     Each value is bit-identical to the pair's alone: the tie rule reads only
     index order, and an absent slot adds an exact 0.0."""
-    c = float(c)
     sizes = np.array([(len(x), len(y)) for x, y in pairs]).reshape(-1, 2)
-    cuts = _cuts(c, requests, sizes.any())
     graphs = [_cut_off_graph(x, y, base, c)[1:] for x, y in pairs]
     truth, estimate, distance = (np.concatenate(column) for column in zip(*graphs))
     sample = np.repeat(np.arange(len(graphs)), [len(graph[0]) for graph in graphs])
     x_present, y_present = (np.arange(size.max()) < size[:, None] for size in sizes.T)
-    return _solve((sample, truth, estimate, distance), x_present, y_present, alpha, requests,
-                  cuts)[0]
+    return _solve((sample, truth, estimate, distance), x_present, y_present, c, alpha, requests)[0]
 
 
 def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
@@ -685,12 +686,10 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     slot pairs per sample goes to :func:`_evaluate_each` instead.
     """
     (n, k_x), k_y = xs.shape[:2], ys.shape[1]
-    c = float(c)
     if callable(base) or k_x * k_y > _PADDED_BLOCK_CELLS:
         samples = zip(itertools.cycle(xs), x_present, itertools.cycle(ys), y_present)
         return _evaluate_each([(x[xp], y[yp]) for x, xp, y, yp in samples],
                               base, c, alpha, requests)
-    cuts = _cuts(c, requests, x_present.any() or y_present.any())
     copies = len(x_present) // n
     sample, truth, estimate, distance = _padded_edges(
         xs, x_present.reshape(copies, n, k_x).any(axis=0),
@@ -698,7 +697,7 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     held = sample + n * np.arange(copies)[:, None]  # each edge's sample in each copy
     copy, edge = (x_present[held, truth] & y_present[held, estimate]).nonzero()
     edges = held[copy, edge], truth[edge], estimate[edge], distance[edge]
-    return _solve(edges, x_present, y_present, alpha, requests, cuts)[0]
+    return _solve(edges, x_present, y_present, c, alpha, requests)[0]
 
 
 def cutoff_distance(x, y, c: float, base_distance: BaseDistance = "euclidean") -> float:
@@ -751,8 +750,8 @@ def gospa(x, y, params: GospaParams) -> GospaBreakdown:
 def ospa(x, y, c: float, p: float = 1.0, base_distance: BaseDistance = "euclidean") -> float:
     """OSPA distance: unnormalized OSPA scaled by the larger cardinality.
 
-    Equals ``(gospa(alpha=1) ** p / max(|X|, |Y|)) ** (1/p)``; both sets
-    empty gives 0 and exactly one empty set gives c.
+    Equals ``(gospa(alpha=1) ** p / max(|X|, |Y|)) ** (1/p)``.  Two empty
+    sets give 0, and sets with no truth-estimate pair within c give exactly c.
     """
     GospaParams(c=c, alpha=1.0, p=p, base_distance=base_distance)  # validates
     xs = as_state_array(x)

@@ -740,6 +740,33 @@ def test_negative_precision_exit_2_before_any_output(capsys, tmp_path, command):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("name, text, error", [
+    ("bad.csv", "1,abc\n", "line 1: expected comma-separated numbers"),
+    ("nan.csv", "1,nan\n", "line 1: coordinates must be finite"),
+    ("notobj.json", '{"components": [1]}', "component 0 must be an object"),
+])
+def test_a_malformed_input_file_exit_2_naming_it(capsys, tmp_path, name, text, error):
+    bad = tmp_path / name
+    bad.write_text(text)
+    if name.endswith(".csv"):
+        good = write_points(tmp_path / "good.json", [[0.0]])
+        argv = ["compute", str(bad), good]
+    else:
+        good = write_model(tmp_path / "good.json", rfs.MultiBernoulli((
+            rfs.BernoulliComponent(1.0, [0.0], np.zeros((1, 1))),)))
+        argv = ["mean", good, str(bad)]
+    code, out, err = run_cli(capsys, *argv, "--c", "8")
+    assert (code, out, err) == (2, "", f"error: {bad}: {error}\n")
+
+
+def test_a_precision_that_is_no_integer_exit_2(capsys, tmp_path):
+    a = write_points(tmp_path / "a.json", [[0.0, 0.0]])
+    code, out, err = run_cli(capsys, "compute", a, a, "--c", "8", "--precision", "abc")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "gospa compute: error: argument --precision: invalid int value: 'abc'")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("command", ["compute", "mean", "table1"])
 def test_an_error_after_the_computation_leaves_stdout_empty(capsys, tmp_path, command, fmt):

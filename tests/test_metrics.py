@@ -80,6 +80,10 @@ class TestParams:
         with pytest.raises(ValueError):
             GospaParams(**kwargs)
 
+    def test_rejects_a_base_distance_neither_named_nor_callable(self):
+        with pytest.raises(ValueError, match="base_distance must be a name or a callable"):
+            GospaParams(c=1.0, base_distance=3)
+
     def test_defaults(self):
         params = GospaParams(c=8.0)
         assert params.alpha == 2.0 and params.p == 1.0
@@ -151,6 +155,12 @@ class TestGospaGolden:
         params = GospaParams(c=8.0, alpha=2.0, p=1.0, base_distance=half_euclid)
         result = gospa([[0.0, 0.0]], [[2.0, 0.0]], params)
         assert result.total == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_callable_base_must_return_a_finite_non_negative_value(self, value):
+        params = GospaParams(c=8.0, base_distance=lambda a, b: value)
+        with pytest.raises(ValueError, match="finite non-negative"):
+            gospa([[0.0, 0.0]], [[2.0, 0.0]], params)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -363,19 +373,25 @@ def test_scalar_results_are_python_floats():
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.7, 400.0])
 def test_roots_are_pythons_powers(monkeypatch, power_bases, p):
-    # 0 to 3 truths per sample, no estimates: OSPA divides by the truth
-    # count, and a sample with no target has the total 0
-    present = np.arange(3) < (np.arange(len(power_bases)) % 4)[:, None]
-    totals = np.where(present.any(axis=1), power_bases, 0.0)
+    # 0 to 3 truths and 0 or 1 estimate per sample, the first truth and the
+    # estimate paired wherever both are present: OSPA divides by the larger
+    # count where a pair is made, is c in any other sample of a target and
+    # 0 in a sample of none, whose total is 0
+    c, k = 1.0, np.arange(len(power_bases))
+    x_present, y_present = np.arange(3) < (k % 4)[:, None], ((k // 4) % 3 > 0)[:, None]
+    paired = x_present[:, 0] & y_present[:, 0]
+    sample, slot = paired.nonzero()[0], np.zeros(paired.sum(), dtype=np.intp)
+    n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
+    totals = np.where(n_x + n_y > 0, power_bases, 0.0)
     monkeypatch.setattr(metrics, "_padded_totals",
                         lambda *args: ({2.0: totals, 1.0: totals}, None))
-    values, _ = metrics._solve(metrics._no_edges(), present, present[:, :0], 2.0,
-                               {p: ALL_NAMES}, {p: (1.0, 1.0)})
+    values, _ = metrics._solve((sample, slot, slot, np.full(len(sample), 0.5)), x_present,
+                               y_present, c, 2.0, {p: ALL_NAMES})
     roots = np.array([t ** (1.0 / p) for t in totals.tolist()])
     assert values["gospa", p].tobytes() == values["uospa", p].tobytes() == roots.tobytes()
-    n = present.sum(axis=1).tolist()
-    ospa_roots = np.array([(t / k) ** (1.0 / p) if k else 0.0
-                           for t, k in zip(totals.tolist(), n)])
+    ospa_roots = np.array([(t / max(a, b)) ** (1.0 / p) if pair else c * (a + b > 0)
+                           for t, a, b, pair in zip(totals.tolist(), n_x.tolist(),
+                                                    n_y.tolist(), paired.tolist())])
     assert values["ospa", p].tobytes() == ospa_roots.tobytes()
 
 
@@ -1104,8 +1120,7 @@ UNSCALED_RAISES = pytest.mark.xfail(strict=True, raises=ValueError, reason="rais
 @pytest.mark.parametrize("metric, expected", [
     pytest.param(lambda: gospa([[0.0]], [[3.0]], GospaParams(c=1e-200, p=2.0)).total, 1e-200,
                  marks=UNSCALED, id="tiny-cutoff-gospa"),
-    pytest.param(lambda: ospa([[0.0]], [[3.0]], c=1e-200, p=2.0), 1e-200,
-                 marks=UNSCALED, id="tiny-cutoff-ospa"),
+    pytest.param(lambda: ospa([[0.0]], [[3.0]], c=1e-200, p=2.0), 1e-200, id="tiny-cutoff-ospa"),
     pytest.param(lambda: gospa([[0.0]], [], GospaParams(c=1e-200, p=2.0)).total,
                  1e-200 / math.sqrt(2.0), marks=UNSCALED, id="tiny-cutoff-missed"),
     pytest.param(lambda: gospa([[0.0, 0.0]], [[1e200, 0.0]], GospaParams(c=1e300)).total, 1e200,
@@ -1217,6 +1232,18 @@ def test_a_far_estimate_costs_what_no_estimate_costs(c, p):
     truth, far, params = [[0.0, 0.0]], [[1e6, 0.0]], GospaParams(c=c, alpha=1.0, p=p)
     assert ospa(truth, far, c=c, p=p) == ospa(truth, [], c=c, p=p)
     assert gospa(truth, far, params).total == gospa(truth, [], params).total
+
+
+@given(st.floats(0.5, 50.0), st.sampled_from([1.1, 1.5, 2.5, 3.5, 7.0]))
+# n * c**p / n, rooted, is one ulp above c here
+@example(30.78890569830018, 2.5)
+def test_ospa_saturates_at_exactly_c(c, p):
+    # with no truth-estimate pair within c, OSPA**p is c**p exactly
+    truth, far = [[0.0, 0.0]], [[1e6, 0.0]]
+    assert ospa(truth, [], c=c, p=p) == c
+    assert ospa([], truth, c=c, p=p) == c
+    assert ospa(truth, far, c=c, p=p) == c
+    assert ospa([], [], c=c, p=p) == 0.0
 
 
 def test_a_numpy_exponent_takes_pythons_cutoff_power():

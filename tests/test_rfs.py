@@ -90,6 +90,10 @@ class TestBernoulliComponent:
         factor = BernoulliComponent(1.0, [0.0, 0.0], cov).scale_tril
         assert np.array_equal(factor, np.linalg.cholesky(cov + 1e-10 * np.eye(2)))
 
+    def test_rejects_a_non_finite_mean(self):
+        with pytest.raises(ValueError, match="mean must be a non-empty finite vector"):
+            BernoulliComponent(0.5, [math.nan], [[1.0]])
+
     def test_rejects_mean_covariance_shape_mismatch(self):
         with pytest.raises(ValueError):
             BernoulliComponent(1.0, [0.0, 0.0], [[1.0]])
