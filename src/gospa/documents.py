@@ -9,6 +9,14 @@ convenience.  Multi-Bernoulli models are JSON objects with a
 Both readers go through ``_read``: a file that cannot be decoded as UTF-8,
 parsed or checked, however deeply it nests, raises a ValueError whose
 message starts with the file's path.
+
+A model is read as stacks: every entry's fields go into one array each,
+the checks of ``BernoulliComponent`` run once over the arrays, and the
+covariances are factored by one Cholesky call.  A model whose entries do
+not stack, such as one mixing nested and flat means, or that fails a check
+is read again one entry at a time, which builds it or names the first
+failing component in index order with that component's first failing check:
+``component 1: covariance must be symmetric``.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ import numpy as np
 
 from .metrics import _is_finite, as_state_array
 from .rfs import BernoulliComponent, MultiBernoulli
+
+_FIELDS = frozenset(("existence", "mean", "covariance"))
 
 
 def point_set_to_document(points) -> dict:
@@ -105,17 +115,40 @@ def multi_bernoulli_to_document(model: MultiBernoulli) -> dict:
     }
 
 
+def _stacked_model(entries: list) -> MultiBernoulli | None:
+    """The model of the entries read as stacks, or None where any entry is
+    no object with the three fields, the fields do not stack into K
+    existence probabilities, K means of one shape and K covariances of one
+    shape, or ``MultiBernoulli._from_stacks`` finds a fault.  Each value
+    becomes a float as ``BernoulliComponent`` makes it, and a nested mean
+    is flattened as there."""
+    if not all(isinstance(entry, dict) and _FIELDS <= entry.keys() for entry in entries):
+        return None
+    try:
+        existence = np.array([float(entry["existence"]) for entry in entries])
+        means = np.array([entry["mean"] for entry in entries], dtype=float)
+        covariances = np.array([entry["covariance"] for entry in entries], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return MultiBernoulli._from_stacks(existence, means.reshape(len(entries), -1), covariances)
+
+
 def multi_bernoulli_from_document(document) -> MultiBernoulli:
     if not isinstance(document, dict) or "components" not in document:
         raise ValueError("model document must be a JSON object with a 'components' list")
     entries = document["components"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("'components' must be a non-empty list")
+    model = _stacked_model(entries)
+    if model is not None:
+        return model
+    # entry by entry, which names the first fault, or builds a model whose
+    # entries do not stack, such as one of nested and flat means
     components = []
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"component {index} must be an object")
-        missing = {"existence", "mean", "covariance"} - entry.keys()
+        missing = _FIELDS - entry.keys()
         if missing:
             raise ValueError(f"component {index} lacks required field(s): {sorted(missing)}")
         try:

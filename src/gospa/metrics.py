@@ -240,24 +240,27 @@ def _slot_pairs(slots: np.ndarray, k_x: int, reach: float):
     """The (truth slot, estimate slot) pairs whose boxes over a stack come
     within ``reach`` of each other on every coordinate, as index arrays in
     ascending (truth, estimate) order, and the coordinate along which the
-    present targets spread widest.  ``slots`` has shape (n, K_x + K_y, D):
-    each sample's truth slots, then its estimate slots, NaN where a slot is
-    empty.
+    slots' values spread widest.  ``slots`` has shape (n, K_x + K_y, D):
+    each sample's truth slots, then its estimate slots, NaN where a slot
+    holds no value.
 
     A slot's box is its NaN-aware smallest and largest value on each
     coordinate over the samples.  Rounded subtraction is monotone, so
     ``x_lo - y_hi`` is at most the difference of the slots on that
     coordinate in any one sample and ``x_hi - y_lo`` at least it, overflow
     to ±inf included: a pair within reach on every coordinate in some
-    sample is kept.  A slot empty in every sample has a NaN box and meets
-    nothing.
+    sample is kept.  A slot that is NaN in every sample has a NaN box and
+    meets nothing.  The boxes are compared one coordinate at a time, as
+    (K_x, K_y) tests: NumPy loops over a trailing axis of length D far more
+    slowly than over K_x * K_y values.  Callers ignore overflow.
     """
-    lo, hi = np.fmin.reduce(slots), np.fmax.reduce(slots)
-    # a difference of bounds may overflow to ±inf, which keeps the test exact
-    with np.errstate(over="ignore"):
-        near = (lo[:k_x, None] - hi[k_x:] <= reach) & (hi[:k_x, None] - lo[k_x:] >= -reach)
-        axis = int(np.argmax(np.fmax.reduce(hi) - np.fmin.reduce(lo)))
-    return *near.all(axis=2).nonzero(), axis
+    lo, hi = np.fmin.reduce(slots).T, np.fmax.reduce(slots).T
+    near = functools.reduce(np.logical_and, (
+        (x_lo - y_hi <= reach) & (x_hi - y_lo >= -reach)
+        for x_lo, x_hi, y_lo, y_hi in zip(lo[:, :k_x, None], hi[:, :k_x, None],
+                                          lo[:, k_x:], hi[:, k_x:])))
+    axis = int(np.argmax(np.fmax.reduce(hi, axis=1) - np.fmin.reduce(lo, axis=1)))
+    return *near.nonzero(), axis
 
 
 def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
@@ -266,41 +269,46 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
     padded stack, as (sample, truth slot, estimate slot, distance) arrays in
     ascending (sample, truth, estimate) order.
 
-    Only the slot pairs of :func:`_slot_pairs`, whose boxes over the stack
-    come within reach on every coordinate, are compared sample by sample,
-    over blocks of at most ``_PADDED_BLOCK_CELLS`` of them, so a stack
-    spread in space costs far less than all K_x * K_y pairs in every
-    sample.  They are compared on the coordinate along which the present
-    targets spread widest; an absent target sits at NaN there, within reach
-    of nothing.  Both named base distances are at least the difference on
-    any one coordinate, up to rounding that the relative slack of the reach
-    covers, unless that difference is so small that its square underflows,
-    and every such pair is a candidate.  The candidates' distances come
-    from :func:`_distances`, as in :func:`_cut_off_graph`.
+    Only the slot pairs of :func:`_slot_pairs`, whose boxes over every
+    point of the stack, present or not, come within reach on every
+    coordinate, are compared sample by sample, over blocks of at most
+    ``_PADDED_BLOCK_CELLS`` of them, so a stack spread in space costs far
+    less than all K_x * K_y pairs in every sample.  The boxes of the
+    present targets alone would lie within these; leaving the absent ones
+    in costs a few more slot pairs where they are drawn as the present
+    ones are, and saves masking the whole stack.  The slot pairs are
+    compared on the coordinate along which the points spread widest, where
+    an absent target is put at NaN, within reach of nothing.  Both named
+    base distances are at least the difference on any one coordinate, up
+    to rounding that the relative slack of the reach covers, unless that
+    difference is so small that its square underflows, and every such pair
+    is a candidate.  The candidates' distances come from
+    :func:`_distances`, as in :func:`_cut_off_graph`.
     """
     (n_s, k_x), (k_y, dim) = x_present.shape, ys.shape[1:]
     if not (k_x and k_y):  # no slot pairs, so no edges
         return _no_edges()
     # a coordinate difference beyond the float range is +inf, beyond c
     with np.errstate(over="ignore"):
-        slots = np.concatenate((xs, ys), axis=1)
-        slots[~np.concatenate((x_present, y_present), axis=1)] = np.nan
         reach = max(float(c) * (1.0 + 1e-9), 1e-150)  # a float32 c would drop the slack
-        truth, estimate, axis = _slot_pairs(slots, k_x, reach)
-        x_line, y_line = slots[:, :k_x, axis], slots[:, k_x:, axis]
+        truth, estimate, axis = _slot_pairs(np.concatenate((xs, ys), axis=1), k_x, reach)
+        x_line = np.where(x_present, xs[:, :, axis], np.nan)
+        y_line = np.where(y_present, ys[:, :, axis], np.nan)
         repeats = np.bincount(truth, minlength=k_x)  # truth slot i's column, once per pair
         step = max(1, _PADDED_BLOCK_CELLS // max(1, len(truth)))
         parts = []
         for lo in range(0, n_s, step):
             gap = np.abs(np.repeat(x_line[lo:lo + step], repeats, axis=1)
                          - y_line[lo:lo + step].take(estimate, axis=1))
-            sample, pair = np.nonzero(gap <= reach)
+            sample, pair = np.divmod(np.flatnonzero(gap <= reach), len(truth))
             parts.append((sample + lo, pair))
         sample, pair = (np.concatenate(column) for column in zip(*parts))
         truth, estimate = truth[pair], estimate[pair]
         distance = _distances(xs.reshape(-1, dim).take(sample * k_x + truth, axis=0)
                               - ys.reshape(-1, dim).take(sample * k_y + estimate, axis=0), base)
     edge = distance < c
+    if edge.all():  # every candidate an edge, as where targets are far apart: no copies
+        return sample, truth, estimate, distance
     return sample[edge], truth[edge], estimate[edge], distance[edge]
 
 
@@ -463,7 +471,9 @@ def _gamma(edges, k_x: int, k_y: int, cuts: dict):
     rows, cols = sample * k_x + truth, sample * k_y + estimate
     forced = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
     stacks = []  # the unforced components' blocks, as (fits, cells, shape, truths, estimates)
-    if not forced.all():
+    if forced.all():  # every edge forced, as where targets are far apart: no copies
+        forced = slice(None)
+    else:
         free = ~forced
         (row_keys, row_of, col_keys, col_of), (row_comp, col_comp, n_comp) = _components(
             rows[free], cols[free])
@@ -600,8 +610,9 @@ def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, c: float, alpha:
     ``x_present`` and ``y_present`` mark each sample's present slots.  Each
     p's ``c**p`` comes from :func:`_cut_powers`, or is 0.0 where that
     overflows and no sample holds a target: empty sets cost 0.  OSPA is
-    exactly c in a sample that holds a target and no pair.  Returns ``{(name,
-    p): values}``, one value per sample, and ``{p: (γ, localization, c**p)}``.
+    exactly c in a sample that holds a target and no pair, and at most c in
+    any other.  Returns ``{(name, p): values}``, one value per sample, and
+    ``{p: (γ, localization, c**p)}``.
     """
     n_x, n_y = x_present.sum(axis=1), y_present.sum(axis=1)
     try:
@@ -622,9 +633,9 @@ def _solve(edges, x_present: np.ndarray, y_present: np.ndarray, c: float, alpha:
             if name == "ospa":  # where both sets are empty, the total is 0.0
                 total = total / np.maximum(np.maximum(n_x, n_y), 1)
             values[name, p] = _powers(total, 1.0 / p)
-        if "ospa" in names:  # c**p * n / n, rooted, need not be c
+        if "ospa" in names:  # c**p * n / n, rooted, need not be c, nor any root near it
             pairs = np.bincount(gammas[p][0] // x_present.shape[1], minlength=len(n_x))
-            values["ospa", p] = np.where(pairs, values["ospa", p],
+            values["ospa", p] = np.where(pairs, np.minimum(values["ospa", p], float(c)),
                                          np.where(n_x + n_y, float(c), 0.0))
     return values, details
 
@@ -691,12 +702,13 @@ def _evaluate_padded(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
         return _evaluate_each([(x[xp], y[yp]) for x, xp, y, yp in samples],
                               base, c, alpha, requests)
     copies = len(x_present) // n
-    sample, truth, estimate, distance = _padded_edges(
-        xs, x_present.reshape(copies, n, k_x).any(axis=0),
-        ys, y_present.reshape(copies, n, k_y).any(axis=0), base, c)
-    held = sample + n * np.arange(copies)[:, None]  # each edge's sample in each copy
-    copy, edge = (x_present[held, truth] & y_present[held, estimate]).nonzero()
-    edges = held[copy, edge], truth[edge], estimate[edge], distance[edge]
+    edges = _padded_edges(xs, x_present.reshape(copies, n, k_x).any(axis=0),
+                          ys, y_present.reshape(copies, n, k_y).any(axis=0), base, c)
+    if copies > 1:  # with one copy, every edge found joins two targets it holds
+        sample, truth, estimate, distance = edges
+        held = sample + n * np.arange(copies)[:, None]  # each edge's sample in each copy
+        copy, edge = (x_present[held, truth] & y_present[held, estimate]).nonzero()
+        edges = held[copy, edge], truth[edge], estimate[edge], distance[edge]
     return _solve(edges, x_present, y_present, c, alpha, requests)[0]
 
 

@@ -17,6 +17,11 @@ at the mixed key.  Mixing the key first means that keys differing by a
 multiple of the increment do not give shifted copies of one stream.  A
 uniform is ``(word >> 11) * 2**-53``.
 
+A multi-Bernoulli model holds its K components as stacks in index order:
+existence probabilities (K,), means (K, D), and covariances and their
+Cholesky factors (K, D, D).  A model read from a file is built from stacks,
+with every check of :class:`BernoulliComponent` made once over them.
+
 A multi-Bernoulli model with K components in D dimensions takes K uniforms
 (component k exists when the k-th is below its existence probability), then
 K * D standard normals, row k being component k's noise mapped through its
@@ -140,6 +145,28 @@ def _cholesky_factor(covariance: np.ndarray) -> np.ndarray:
         raise ValueError("covariance must be symmetric positive semidefinite") from None
 
 
+def _cholesky_factors(covariances: np.ndarray) -> np.ndarray:
+    """:func:`_cholesky_factor` of each matrix of a (K, D, D) stack.  The
+    matrices that are not all zero are factored by one
+    ``np.linalg.cholesky`` call, which factors each as a call on it alone
+    does; only where that fails, because some matrix needs the jitter or
+    has no factor, is each matrix factored on its own."""
+    factors = np.zeros_like(covariances)
+    nonzero = covariances.any(axis=(1, 2))
+    try:
+        factors[nonzero] = np.linalg.cholesky(covariances[nonzero])
+    except np.linalg.LinAlgError:
+        for k, covariance in enumerate(covariances):
+            factors[k] = _cholesky_factor(covariance)
+    return factors
+
+
+def _symmetric(covariances: np.ndarray, transposed: np.ndarray) -> bool:
+    """``np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12)`` written out, which
+    costs half as much; the two agree on finite matrices."""
+    return bool((np.abs(covariances - transposed) <= 1e-12 + 1e-9 * np.abs(transposed)).all())
+
+
 @dataclass(frozen=True, eq=False)
 class BernoulliComponent:
     """One potential target: exists with probability ``existence`` and, when
@@ -170,48 +197,85 @@ class BernoulliComponent:
                 from None
         if cov.shape != (mean.size, mean.size) or not np.all(np.isfinite(cov)):
             raise ValueError("covariance must be a finite square matrix matching the mean")
-        # np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12) written out, which
-        # costs half as much; the two agree on finite matrices
-        if not (np.abs(cov - cov.T) <= 1e-12 + 1e-9 * np.abs(cov.T)).all():
+        if not _symmetric(cov, cov.T):
             raise ValueError("covariance must be symmetric")
         cov = (cov + cov.T) / 2.0
+        self._set(existence, mean, cov, _cholesky_factor(cov))
+
+    def _set(self, existence: float, mean: np.ndarray, covariance: np.ndarray,
+             scale_tril: np.ndarray) -> None:
         object.__setattr__(self, "existence", existence)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "scale_tril", _cholesky_factor(cov))
+        object.__setattr__(self, "covariance", covariance)
+        object.__setattr__(self, "scale_tril", scale_tril)
 
     @property
     def dimension(self) -> int:
         return self.mean.size
 
 
-@dataclass(frozen=True, eq=False)
 class MultiBernoulli:
-    """Union of independent Bernoulli components, all of one dimension."""
+    """Union of independent Bernoulli components, all of one dimension.
 
-    components: tuple[BernoulliComponent, ...]
-    # the components stacked once, in index order, for draw layout v3
-    _existence: np.ndarray = field(init=False, repr=False)
-    _means: np.ndarray = field(init=False, repr=False)
-    _scale_trils: np.ndarray = field(init=False, repr=False)
+    The model holds its components as stacks in index order, as draw layout
+    v3 takes them: existence probabilities (K,), means (K, D), and
+    covariances and their Cholesky factors (K, D, D).
+    """
 
-    def __post_init__(self):
-        components = tuple(self.components)
+    def __init__(self, components: Sequence[BernoulliComponent]):
+        components = tuple(components)
         if not components:
             raise ValueError("a multi-Bernoulli model needs at least one component")
-        dims = {comp.dimension for comp in components}
-        if len(dims) != 1:
+        if len({comp.dimension for comp in components}) != 1:
             raise ValueError("all components must share one dimension")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_existence",
-                           np.array([comp.existence for comp in components]))
-        object.__setattr__(self, "_means", np.stack([comp.mean for comp in components]))
-        object.__setattr__(self, "_scale_trils",
-                           np.stack([comp.scale_tril for comp in components]))
+        self.__dict__["components"] = components  # where the cached property keeps it
+        self._existence = np.array([comp.existence for comp in components])
+        self._means = np.stack([comp.mean for comp in components])
+        self._covariances = np.stack([comp.covariance for comp in components])
+        self._scale_trils = np.stack([comp.scale_tril for comp in components])
+
+    @classmethod
+    def _from_stacks(cls, existence: np.ndarray, means: np.ndarray,
+                     covariances: np.ndarray) -> MultiBernoulli | None:
+        """The model of K components given as float stacks, existence (K,),
+        means (K, D) and covariances of any shape, bit for bit the model of
+        the ``BernoulliComponent`` of each; None where any of those would be
+        rejected.  Each of the component's checks runs once over the stacks,
+        and the covariances are factored by :func:`_cholesky_factors`."""
+        n, dim = means.shape
+        if not (dim and covariances.shape == (n, dim, dim)):
+            return None
+        transposed = covariances.transpose(0, 2, 1)
+        with np.errstate(over="ignore"):
+            if not (((existence >= 0.0) & (existence <= 1.0)).all()
+                    and np.isfinite(means).all() and np.isfinite(covariances).all()
+                    and _symmetric(covariances, transposed)):
+                return None
+        covariances = (covariances + transposed) / 2.0
+        try:
+            factors = _cholesky_factors(covariances)
+        except ValueError:
+            return None
+        model = object.__new__(cls)
+        model._existence, model._means = existence, means
+        model._covariances, model._scale_trils = covariances, factors
+        return model
+
+    @functools.cached_property
+    def components(self) -> tuple[BernoulliComponent, ...]:
+        """The components; a model built from stacks makes them from the
+        stacks' rows, which have passed every check, when first asked."""
+        components = []
+        for fields in zip(self._existence.tolist(), self._means, self._covariances,
+                          self._scale_trils):
+            component = object.__new__(BernoulliComponent)
+            component._set(*fields)
+            components.append(component)
+        return tuple(components)
 
     @property
     def dimension(self) -> int:
-        return self.components[0].dimension
+        return self._means.shape[1]
 
     @property
     def _word_count(self) -> int:
@@ -416,9 +480,10 @@ def _chunk_values(samplers: Sequence[PairSampler], keys: np.ndarray, base, c: fl
 
 def _padded(sets: list[np.ndarray], dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Sets of one dimension as a (len(sets), K, dimension) stack, padded
-    to the largest cardinality K, and the mask of the slots each set fills."""
+    to the largest cardinality K with NaN, and the mask of the slots each
+    set fills."""
     sizes = np.array([len(points) for points in sets])
-    stack = np.zeros((len(sets), sizes.max(), dimension))
+    stack = np.full((len(sets), sizes.max(), dimension), np.nan)
     for k, points in enumerate(sets):
         if len(points):  # an empty set may have dimension 0
             stack[k, :len(points)] = points

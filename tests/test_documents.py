@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gospa.documents import (
     multi_bernoulli_from_document,
@@ -13,6 +15,7 @@ from gospa.documents import (
     read_multi_bernoulli,
     read_point_set,
 )
+from gospa import rfs
 from gospa.rfs import BernoulliComponent, MultiBernoulli
 
 
@@ -157,3 +160,160 @@ class TestModelDocuments:
         ]}
         with pytest.raises(ValueError, match="component 1"):
             multi_bernoulli_from_document(doc)
+
+
+# --- models read as stacks ----------------------------------------------------
+
+def random_covariance(rng, dimension):
+    """Positive definite, singular positive semidefinite (its factor takes
+    the jitter) or all zero (its factor is exactly zero), at random."""
+    kind = rng.integers(3)
+    if kind == 0:
+        a = rng.normal(size=(dimension, dimension))
+        return a @ a.T + 0.1 * np.eye(dimension)
+    if kind == 1:
+        if rng.integers(2):
+            v = rng.normal(size=(dimension, 1))
+            return v @ v.T
+        return np.diag(rng.uniform(0.5, 2.0, dimension) * (np.arange(dimension) % 2))
+    return np.zeros((dimension, dimension))
+
+
+def random_entries(rng, count, dimension, nested):
+    """``count`` valid model entries; ``nested`` is "flat", "nested" (every
+    mean as [[...]]) or "mixed"."""
+    entries = []
+    for _ in range(count):
+        mean = rng.uniform(-100.0, 100.0, dimension).tolist()
+        if nested == "nested" or (nested == "mixed" and rng.integers(2)):
+            mean = [mean]
+        entries.append({"existence": float(rng.uniform()), "mean": mean,
+                        "covariance": random_covariance(rng, dimension).tolist()})
+    return entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 4),
+       st.sampled_from(["flat", "nested", "mixed"]))
+def test_stacks_are_those_of_each_component(seed, count, dimension, nested):
+    entries = random_entries(np.random.default_rng(seed), count, dimension, nested)
+    model = multi_bernoulli_from_document({"components": entries})
+    components = [BernoulliComponent(entry["existence"], entry["mean"], entry["covariance"])
+                  for entry in entries]
+    assert model.dimension == dimension
+    assert model._existence.tobytes() == np.array([comp.existence for comp in components]).tobytes()
+    for stack, name in ((model._means, "mean"), (model._covariances, "covariance"),
+                        (model._scale_trils, "scale_tril")):
+        expected = np.stack([getattr(comp, name) for comp in components])
+        assert stack.shape == expected.shape and stack.tobytes() == expected.tobytes(), name
+    for got, expected in zip(model.components, components):
+        assert type(got.existence) is float and got.existence == expected.existence
+        for name in ("mean", "covariance", "scale_tril"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert multi_bernoulli_to_document(model) == multi_bernoulli_to_document(
+        MultiBernoulli(tuple(components)))
+
+
+def test_a_model_of_stackable_entries_builds_no_component(monkeypatch):
+    entries = random_entries(np.random.default_rng(3), 50, 2, "flat")
+    built = []
+    real_post_init = BernoulliComponent.__post_init__
+
+    def counting(component):
+        built.append(component)
+        real_post_init(component)
+
+    monkeypatch.setattr(BernoulliComponent, "__post_init__", counting)
+    model = multi_bernoulli_from_document({"components": entries})
+    assert built == [] and len(model._means) == 50
+
+
+def first_fault(entries):
+    """The message of the first fault of a model document's entries, read
+    one entry at a time as each ``BernoulliComponent`` checks itself, or
+    None."""
+    components = []
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            return f"component {index} must be an object"
+        missing = {"existence", "mean", "covariance"} - entry.keys()
+        if missing:
+            return f"component {index} lacks required field(s): {sorted(missing)}"
+        try:
+            components.append(BernoulliComponent(entry["existence"], entry["mean"],
+                                                 entry["covariance"]))
+        except (TypeError, ValueError) as exc:
+            return f"component {index}: {exc}"
+    if len({comp.dimension for comp in components}) > 1:
+        return "all components must share one dimension"
+    return None
+
+
+HUGE = 10 ** 400  # an integer too large for any float
+
+# each fault as a change to one valid entry of the given dimension
+NUMERIC_FAULTS = {
+    "existence above 1": lambda entry, d: entry.update(existence=1.5),
+    "existence below 0": lambda entry, d: entry.update(existence=-0.25),
+    "existence NaN": lambda entry, d: entry.update(existence=float("nan")),
+    "existence a string": lambda entry, d: entry.update(existence="often"),
+    "existence null": lambda entry, d: entry.update(existence=None),
+    "existence a list": lambda entry, d: entry.update(existence=[0.5]),
+    "existence huge": lambda entry, d: entry.update(existence=HUGE),
+    "mean empty": lambda entry, d: entry.update(mean=[]),
+    "mean infinite": lambda entry, d: entry["mean"].__setitem__(0, float("inf")),
+    "mean huge": lambda entry, d: entry["mean"].__setitem__(0, HUGE),
+    "mean a string": lambda entry, d: entry["mean"].__setitem__(0, "north"),
+    "mean ragged": lambda entry, d: entry.update(mean=[entry["mean"], [0.0] * (d + 1)]),
+    "mean longer": lambda entry, d: entry.update(mean=entry["mean"] + [0.0]),
+    "covariance too small": lambda entry, d: entry.update(covariance=[[1.0] * d]),
+    "covariance NaN": lambda entry, d: entry["covariance"][0].__setitem__(0, float("nan")),
+    "covariance huge": lambda entry, d: entry["covariance"][0].__setitem__(0, HUGE),
+    "covariance ragged": lambda entry, d: entry["covariance"].__setitem__(0, [1.0] * (d + 1)),
+    "covariance asymmetric": lambda entry, d: entry.update(
+        covariance=(np.eye(d) + np.eye(d, k=1) * 2.0).tolist()),
+    "covariance indefinite": lambda entry, d: entry.update(covariance=(-np.eye(d)).tolist()),
+    "dimension of its own": lambda entry, d: entry.update(
+        mean=[0.0] * (d + 1), covariance=np.eye(d + 1).tolist()),
+}
+STRUCTURAL_FAULTS = {
+    "not an object": lambda entries, k: entries.__setitem__(k, [entries[k]]),
+    "a number": lambda entries, k: entries.__setitem__(k, 3),
+    "null": lambda entries, k: entries.__setitem__(k, None),
+    "no existence": lambda entries, k: entries[k].pop("existence"),
+    "no mean or covariance": lambda entries, k: [entries[k].pop(name)
+                                                 for name in ("mean", "covariance")],
+}
+
+
+FAULTS = ([("numeric", name) for name in sorted(NUMERIC_FAULTS)]
+          + [("structural", name) for name in sorted(STRUCTURAL_FAULTS)]
+          + [("numeric then structural", name) for name in sorted(NUMERIC_FAULTS)])
+
+
+@pytest.mark.parametrize("kind, fault", FAULTS)
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 3),
+       st.sampled_from(["flat", "nested"]), st.data())
+def test_a_rejected_document_names_its_first_fault(kind, fault, seed, count, dimension, nested,
+                                                   data):
+    rng = np.random.default_rng(seed)
+    entries = random_entries(rng, count, dimension, nested)
+    if nested == "nested":  # the faults act on flat means
+        for entry in entries:
+            entry["mean"] = entry["mean"][0]
+    first = data.draw(st.integers(0, count - 1))
+    if kind == "structural":
+        STRUCTURAL_FAULTS[fault](entries, first)
+    else:
+        NUMERIC_FAULTS[fault](entries[first], dimension)
+    if kind == "numeric then structural" and first + 1 < count:
+        later = data.draw(st.sampled_from(sorted(STRUCTURAL_FAULTS)))
+        STRUCTURAL_FAULTS[later](entries, data.draw(st.integers(first + 1, count - 1)))
+    expected = first_fault(entries)
+    if expected is None:  # one component of a dimension of its own is a model
+        multi_bernoulli_from_document({"components": entries})
+        return
+    with pytest.raises(ValueError) as raised:
+        multi_bernoulli_from_document({"components": entries})
+    assert str(raised.value) == expected

@@ -375,8 +375,8 @@ def test_scalar_results_are_python_floats():
 def test_roots_are_pythons_powers(monkeypatch, power_bases, p):
     # 0 to 3 truths and 0 or 1 estimate per sample, the first truth and the
     # estimate paired wherever both are present: OSPA divides by the larger
-    # count where a pair is made, is c in any other sample of a target and
-    # 0 in a sample of none, whose total is 0
+    # count where a pair is made and is at most c there, is c in any other
+    # sample of a target and 0 in a sample of none, whose total is 0
     c, k = 1.0, np.arange(len(power_bases))
     x_present, y_present = np.arange(3) < (k % 4)[:, None], ((k // 4) % 3 > 0)[:, None]
     paired = x_present[:, 0] & y_present[:, 0]
@@ -389,7 +389,7 @@ def test_roots_are_pythons_powers(monkeypatch, power_bases, p):
                                y_present, c, 2.0, {p: ALL_NAMES})
     roots = np.array([t ** (1.0 / p) for t in totals.tolist()])
     assert values["gospa", p].tobytes() == values["uospa", p].tobytes() == roots.tobytes()
-    ospa_roots = np.array([(t / max(a, b)) ** (1.0 / p) if pair else c * (a + b > 0)
+    ospa_roots = np.array([min((t / max(a, b)) ** (1.0 / p), c) if pair else c * (a + b > 0)
                            for t, a, b, pair in zip(totals.tolist(), n_x.tolist(),
                                                     n_y.tolist(), paired.tolist())])
     assert values["ospa", p].tobytes() == ospa_roots.tobytes()
@@ -1246,6 +1246,15 @@ def test_ospa_saturates_at_exactly_c(c, p):
     assert ospa([], [], c=c, p=p) == 0.0
 
 
+def test_ospa_with_a_pair_is_at_most_c():
+    # d**2.5 lies just below c**2.5, and the root of the sum rounds one ulp
+    # above c
+    c = 30.78890569830018
+    d = math.nextafter(c, 0.0)
+    assert ospa([[0.0]], [[d]], c=c, p=2.5) == c
+    assert ospa([[0.0], [100.0]], [[d]], c=c, p=2.5) == c
+
+
 def test_a_numpy_exponent_takes_pythons_cutoff_power():
     # a NumPy float p would make c**p NumPy's power, which warns on
     # overflow instead of raising
@@ -1515,3 +1524,92 @@ def test_spread_stack_takes_the_gap_on_few_slot_pairs():
     assert held <= set(zip(truth.tolist(), estimate.tolist()))
     for column, reference in zip(metrics._padded_edges(*stack, "euclidean", 10.0), expected):
         assert np.array_equal(column, reference)
+
+
+def brute_force_slot_pairs(slots, k_x, reach):
+    """The rule of :func:`metrics._slot_pairs` one slot pair and one
+    coordinate at a time, in Python floats: each slot's box is its smallest
+    and largest value over the samples, NaN ignored, and a pair is kept
+    where ``x_lo - y_hi <= reach`` and ``x_hi - y_lo >= -reach`` on every
+    coordinate; the axis is the first of widest spread over all slots."""
+    _, k, dim = slots.shape
+    columns = [[[v for v in slots[:, j, d].tolist() if not math.isnan(v)] for d in range(dim)]
+               for j in range(k)]
+    lo = [[min(values, default=math.nan) for values in slot] for slot in columns]
+    hi = [[max(values, default=math.nan) for values in slot] for slot in columns]
+    pairs = [(i, j) for i in range(k_x) for j in range(k_x, k)
+             if all(lo[i][d] - hi[j][d] <= reach and hi[i][d] - lo[j][d] >= -reach
+                    for d in range(dim))]
+    spread = [max((h[d] for h in hi if not math.isnan(h[d])), default=math.nan)
+              - min((low[d] for low in lo if not math.isnan(low[d])), default=math.nan)
+              for d in range(dim)]
+    return ([i for i, _ in pairs], [j - k_x for _, j in pairs]), int(np.argmax(spread))
+
+
+def brute_force_edges(xs, x_present, ys, y_present, base, c):
+    """Every pair of present targets closer than c, sample by sample, with
+    the distances of each sample's whole distance matrix, as ``gospa``
+    takes them."""
+    edges = []
+    for s, (x, xp, y, yp) in enumerate(zip(xs, x_present, ys, y_present)):
+        distances = metrics._distances(x[:, None, :] - y[None, :, :], base)
+        edges += [(s, i, j, distances[i, j]) for i in np.flatnonzero(xp).tolist()
+                  for j in np.flatnonzero(yp).tolist() if distances[i, j] < c]
+    sample, truth, estimate, distance = zip(*edges) if edges else ((),) * 4
+    return (np.array(sample, dtype=np.intp), np.array(truth, dtype=np.intp),
+            np.array(estimate, dtype=np.intp), np.array(distance, dtype=float))
+
+
+@st.composite
+def padded_stacks(draw):
+    """Padded stacks of up to 6 samples of truths and estimates scattered
+    around their slots' sites in 1 to 4 dimensions, with 1 or 12 copies of
+    the masks, some slots absent in every copy, and the absent slots holding
+    NaN, as custom samplers' stacks do, or drawn points, as models' do."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_s, copies = draw(st.integers(1, 6)), draw(st.sampled_from([1, 12]))
+    dim = draw(st.integers(1, 4))
+    side, nan_absent = draw(st.sampled_from([3.0, 20.0])), draw(st.booleans())
+    stack = []
+    for k in (draw(st.integers(0, 6)), draw(st.integers(0, 6))):
+        points = rng.uniform(0.0, side, (1, k, dim)) + rng.normal(0.0, 1.0, (n_s, k, dim))
+        present = rng.random((copies * n_s, k)) < draw(st.sampled_from([0.5, 0.9]))
+        if k and draw(st.booleans()):
+            present[:, rng.integers(k)] = False
+        if nan_absent:
+            points[~present.reshape(copies, n_s, k).any(axis=0)] = np.nan
+        stack += [points, present]
+    return stack, draw(st.sampled_from(["euclidean", "manhattan"])), draw(st.floats(0.5, 6.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_stacks(), st.sampled_from([1.0, 2.0]), st.sampled_from([1.0, 2.0, 3.5]))
+def test_padded_stacks_match_the_brute_force_rule(case, alpha, p):
+    (xs, x_present, ys, y_present), base, c = case
+    n_s, k_x = xs.shape[:2]
+    copies = len(x_present) // n_s
+    x_any = x_present.reshape(copies, n_s, -1).any(axis=0)
+    y_any = y_present.reshape(copies, n_s, -1).any(axis=0)
+    # the slot pairs and the axis, on the stack as given and with every
+    # absent slot at NaN
+    reach = c * (1.0 + 1e-9)
+    for slots in (np.concatenate((xs, ys), axis=1),
+                  np.where(np.concatenate((x_any, y_any), axis=1)[:, :, None],
+                           np.concatenate((xs, ys), axis=1), np.nan)):
+        if not (k_x and ys.shape[1]):
+            continue
+        truth, estimate, axis = metrics._slot_pairs(slots, k_x, reach)
+        (expected_truth, expected_estimate), expected_axis = brute_force_slot_pairs(
+            slots, k_x, reach)
+        assert truth.tolist() == expected_truth and estimate.tolist() == expected_estimate
+        assert axis == expected_axis
+    got = metrics._padded_edges(xs, x_any, ys, y_any, base, c)
+    for column, reference in zip(got, brute_force_edges(xs, x_any, ys, y_any, base, c)):
+        assert column.dtype == reference.dtype and column.tobytes() == reference.tobytes()
+    requests = {p: ALL_NAMES}
+    values = metrics._evaluate_padded(xs, x_present, ys, y_present, base, c, alpha, requests)
+    for row, (xp, yp) in enumerate(zip(x_present, y_present)):
+        s = row % n_s
+        expected = metrics._evaluate(xs[s][xp], ys[s][yp], base, c, alpha, requests)
+        for key, column in values.items():
+            assert column[row:row + 1].tobytes() == np.array([expected[key]]).tobytes(), key
