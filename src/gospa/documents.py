@@ -10,13 +10,14 @@ Both readers go through ``_read``: a file that cannot be decoded as UTF-8,
 parsed or checked, however deeply it nests, raises a ValueError whose
 message starts with the file's path.
 
-A model is read as stacks: every entry's fields go into one array each,
-the checks of ``BernoulliComponent`` run once over the arrays, and the
-covariances are factored by one Cholesky call.  A model whose entries do
-not stack, such as one mixing nested and flat means, or that fails a check
-is read again one entry at a time, which builds it or names the first
-failing component in index order with that component's first failing check:
-``component 1: covariance must be symmetric``.
+A model is read by one reader.  Each entry is converted once, as
+``BernoulliComponent`` converts its fields, a nested mean flattened, so
+nested, flat and mixed means all stack.  One call then checks the whole
+model, each check over every component at once, and factors its
+covariances.  An entry that is not an object or lacks a field is named
+after any fault of the entries before it; otherwise a rejected model names
+its first failing component in index order and that component's first
+failing check: ``component 1: covariance must be symmetric``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import _is_finite, as_state_array
-from .rfs import BernoulliComponent, MultiBernoulli
+from .rfs import MultiBernoulli, _checked, _component_fields
 
 _FIELDS = frozenset(("existence", "mean", "covariance"))
 
@@ -115,51 +116,24 @@ def multi_bernoulli_to_document(model: MultiBernoulli) -> dict:
     }
 
 
-def _stacked_model(entries: list) -> MultiBernoulli | None:
-    """The model of the entries read as stacks, or None where any entry is
-    no object with the three fields, the fields do not stack into K
-    existence probabilities, K means of one shape and K covariances of one
-    shape, or ``MultiBernoulli._from_stacks`` finds a fault.  Each value
-    becomes a float as ``BernoulliComponent`` makes it, and a nested mean
-    is flattened as there."""
-    if not all(isinstance(entry, dict) and _FIELDS <= entry.keys() for entry in entries):
-        return None
-    try:
-        existence = np.array([float(entry["existence"]) for entry in entries])
-        means = np.array([entry["mean"] for entry in entries], dtype=float)
-        covariances = np.array([entry["covariance"] for entry in entries], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return MultiBernoulli._from_stacks(existence, means.reshape(len(entries), -1), covariances)
-
-
 def multi_bernoulli_from_document(document) -> MultiBernoulli:
     if not isinstance(document, dict) or "components" not in document:
         raise ValueError("model document must be a JSON object with a 'components' list")
     entries = document["components"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("'components' must be a non-empty list")
-    model = _stacked_model(entries)
-    if model is not None:
-        return model
-    # entry by entry, which names the first fault, or builds a model whose
-    # entries do not stack, such as one of nested and flat means
-    components = []
+    fields = []
     for index, entry in enumerate(entries):
+        if isinstance(entry, dict) and _FIELDS <= entry.keys():
+            fields.append(_component_fields(entry["existence"], entry["mean"],
+                                            entry["covariance"]))
+            continue
+        _checked(fields, first=0)  # a fault of an earlier entry comes first
         if not isinstance(entry, dict):
             raise ValueError(f"component {index} must be an object")
-        missing = _FIELDS - entry.keys()
-        if missing:
-            raise ValueError(f"component {index} lacks required field(s): {sorted(missing)}")
-        try:
-            components.append(BernoulliComponent(
-                existence=entry["existence"],
-                mean=entry["mean"],
-                covariance=entry["covariance"],
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"component {index}: {exc}") from None
-    return MultiBernoulli(tuple(components))
+        missing = sorted(_FIELDS - entry.keys())
+        raise ValueError(f"component {index} lacks required field(s): {missing}")
+    return MultiBernoulli._from_fields(fields)
 
 
 def read_multi_bernoulli(path) -> MultiBernoulli:

@@ -19,8 +19,11 @@ uniform is ``(word >> 11) * 2**-53``.
 
 A multi-Bernoulli model holds its K components as stacks in index order:
 existence probabilities (K,), means (K, D), and covariances and their
-Cholesky factors (K, D, D).  A model read from a file is built from stacks,
-with every check of :class:`BernoulliComponent` made once over them.
+Cholesky factors (K, D, D).  One validator checks and factors components
+as stacks: a model read from a file is its K-component case and a
+:class:`BernoulliComponent` its one-component case.  A singular covariance
+is factored after a jitter of 1e-10 times its largest variance, and at
+least the smallest normal float, is added to its diagonal.
 
 A multi-Bernoulli model with K components in D dimensions takes K uniforms
 (component k exists when the k-th is below its existence probability), then
@@ -129,42 +132,97 @@ def _validated_seed(seed) -> int:
     return seed
 
 
-def _cholesky_factor(covariance: np.ndarray) -> np.ndarray:
-    # all-zero covariance means a point mass; keep it exact instead of jittered
-    if not covariance.any():
-        return np.zeros_like(covariance)
+def _component_fields(existence, mean, covariance) -> tuple[float, np.ndarray, np.ndarray]:
+    """One component's fields as floats: the existence probability by
+    ``float()``, the mean flattened and the covariance as an array.  A value
+    that does not convert becomes one that fails its own check in
+    :func:`_checked`: a NaN probability, an empty mean, a 0-d covariance."""
     try:
-        return np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError:
-        pass
-    # relative to the largest variance, so the fix-up scales with the matrix
-    jitter = 1e-10 * np.abs(np.diag(covariance)).max() * np.eye(covariance.shape[0])
+        existence = float(existence)
+    except (TypeError, ValueError, OverflowError):
+        existence = math.nan
     try:
-        return np.linalg.cholesky(covariance + jitter)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance must be symmetric positive semidefinite") from None
+        mean = np.asarray(mean, dtype=float).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        mean = np.empty(0)
+    try:
+        covariance = np.asarray(covariance, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        covariance = np.array(math.nan)
+    return existence, mean, covariance
 
 
-def _cholesky_factors(covariances: np.ndarray) -> np.ndarray:
-    """:func:`_cholesky_factor` of each matrix of a (K, D, D) stack.  The
-    matrices that are not all zero are factored by one
-    ``np.linalg.cholesky`` call, which factors each as a call on it alone
-    does; only where that fails, because some matrix needs the jitter or
-    has no factor, is each matrix factored on its own."""
+def _cholesky_factors(covariances: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cholesky factors of a (K, D, D) stack of symmetric matrices, and the
+    index of the first that has none, or K.  An all-zero matrix has an exact
+    zero factor.  The others are factored by one ``np.linalg.cholesky`` call,
+    which factors each as a call on it alone does; only where that fails is
+    each factored alone, with a jitter on its diagonal if it must."""
     factors = np.zeros_like(covariances)
     nonzero = covariances.any(axis=(1, 2))
     try:
         factors[nonzero] = np.linalg.cholesky(covariances[nonzero])
+        return factors, len(covariances)
     except np.linalg.LinAlgError:
-        for k, covariance in enumerate(covariances):
-            factors[k] = _cholesky_factor(covariance)
-    return factors
+        pass
+    for k in np.flatnonzero(nonzero).tolist():
+        # relative to the largest variance, so the fix-up scales with the
+        # matrix, and at least the smallest normal float, so never zero
+        jitter = max(1e-10 * np.abs(np.diag(covariances[k])).max(), np.finfo(float).tiny)
+        for covariance in (covariances[k], covariances[k] + jitter * np.eye(len(covariances[k]))):
+            try:
+                factors[k] = np.linalg.cholesky(covariance)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            return factors, k
+    return factors, len(covariances)
 
 
-def _symmetric(covariances: np.ndarray, transposed: np.ndarray) -> bool:
-    """``np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12)`` written out, which
-    costs half as much; the two agree on finite matrices."""
-    return bool((np.abs(covariances - transposed) <= 1e-12 + 1e-9 * np.abs(transposed)).all())
+def _checked(fields: Sequence[tuple], first: int | None = None) -> tuple[np.ndarray, ...] | None:
+    """The one validator of components given by :func:`_component_fields`.
+    Returns their stacks: existence (K,), means (K, D), and the covariances
+    made exactly symmetric and their Cholesky factors (K, D, D); fields that
+    do not stack, as of different dimensions, are checked one at a time and
+    give None.  Each check is one (K,) boolean array, in this order: an
+    existence probability in [0, 1], a non-empty finite mean, a finite
+    D x D covariance, a symmetric one, one with a factor.  The first failing
+    component raises a ValueError with its first failing check, named as
+    component ``first + k`` unless ``first`` is None."""
+    existence = np.array([field[0] for field in fields])
+    try:
+        means = np.stack([field[1] for field in fields])
+        covariances = np.stack([field[2] for field in fields])
+    except ValueError:  # no fields, or fields of different shapes; one field always stacks
+        for k, field in enumerate(fields):
+            _checked([field], first + k)
+        return None
+    n, dim = means.shape
+    if covariances.shape != (n, dim, dim):  # checked as a covariance of NaN
+        covariances = np.full((n, dim, dim), math.nan)
+    transposed = covariances.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = [
+            ((existence >= 0.0) & (existence <= 1.0), "existence probability must lie in [0, 1]"),
+            (np.isfinite(means).all(axis=1) & (dim > 0), "mean must be a non-empty finite vector"),
+            (np.isfinite(covariances).all(axis=(1, 2)),
+             "covariance must be a finite square matrix matching the mean"),
+            # np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12), matrix by matrix
+            ((np.abs(covariances - transposed) <= 1e-12 + 1e-9 * np.abs(transposed)).all(
+                axis=(1, 2)), "covariance must be symmetric"),
+        ]
+    passed = np.logical_and.reduce([check for check, _ in checks])
+    good = n if passed.all() else int(passed.argmin())
+    # halving is exact unless a half is subnormal, and the sum of two halves
+    # cannot overflow as cov + cov.T can
+    covariances = covariances[:good] / 2.0 + transposed[:good] / 2.0
+    factors, index = _cholesky_factors(covariances)
+    if index == n:
+        return existence, means, covariances, factors
+    checks.append((np.arange(n) != index, "covariance must be symmetric positive semidefinite"))
+    message = next(message for check, message in checks if not check[index])
+    raise ValueError(message if first is None else f"component {first + index}: {message}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,29 +236,9 @@ class BernoulliComponent:
     scale_tril: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            existence = float(self.existence)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("existence probability must lie in [0, 1]") from None
-        if not 0.0 <= existence <= 1.0:
-            raise ValueError("existence probability must lie in [0, 1]")
-        try:
-            mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        except OverflowError:  # an integer too large for a float
-            raise ValueError("mean must be a non-empty finite vector") from None
-        if mean.size < 1 or not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be a non-empty finite vector")
-        try:
-            cov = np.asarray(self.covariance, dtype=float)
-        except OverflowError:
-            raise ValueError("covariance must be a finite square matrix matching the mean") \
-                from None
-        if cov.shape != (mean.size, mean.size) or not np.all(np.isfinite(cov)):
-            raise ValueError("covariance must be a finite square matrix matching the mean")
-        if not _symmetric(cov, cov.T):
-            raise ValueError("covariance must be symmetric")
-        cov = (cov + cov.T) / 2.0
-        self._set(existence, mean, cov, _cholesky_factor(cov))
+        fields = _component_fields(self.existence, self.mean, self.covariance)
+        _, means, covariances, factors = _checked([fields])
+        self._set(fields[0], means[0], covariances[0], factors[0])
 
     def _set(self, existence: float, mean: np.ndarray, covariance: np.ndarray,
              scale_tril: np.ndarray) -> None:
@@ -235,30 +273,14 @@ class MultiBernoulli:
         self._scale_trils = np.stack([comp.scale_tril for comp in components])
 
     @classmethod
-    def _from_stacks(cls, existence: np.ndarray, means: np.ndarray,
-                     covariances: np.ndarray) -> MultiBernoulli | None:
-        """The model of K components given as float stacks, existence (K,),
-        means (K, D) and covariances of any shape, bit for bit the model of
-        the ``BernoulliComponent`` of each; None where any of those would be
-        rejected.  Each of the component's checks runs once over the stacks,
-        and the covariances are factored by :func:`_cholesky_factors`."""
-        n, dim = means.shape
-        if not (dim and covariances.shape == (n, dim, dim)):
-            return None
-        transposed = covariances.transpose(0, 2, 1)
-        with np.errstate(over="ignore"):
-            if not (((existence >= 0.0) & (existence <= 1.0)).all()
-                    and np.isfinite(means).all() and np.isfinite(covariances).all()
-                    and _symmetric(covariances, transposed)):
-                return None
-        covariances = (covariances + transposed) / 2.0
-        try:
-            factors = _cholesky_factors(covariances)
-        except ValueError:
-            return None
+    def _from_fields(cls, fields: Sequence[tuple]) -> MultiBernoulli:
+        """The model of components given by their :func:`_component_fields`,
+        bit for bit that of each one's ``BernoulliComponent``."""
+        stacks = _checked(fields, first=0)
+        if stacks is None:  # no components, or ones of different dimensions,
+            return cls(BernoulliComponent(*field) for field in fields)  # which cls rejects
         model = object.__new__(cls)
-        model._existence, model._means = existence, means
-        model._covariances, model._scale_trils = covariances, factors
+        model._existence, model._means, model._covariances, model._scale_trils = stacks
         return model
 
     @functools.cached_property

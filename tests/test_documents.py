@@ -1,10 +1,11 @@
 """Tests for the point-set and model file formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gospa.documents import (
@@ -214,8 +215,9 @@ def test_stacks_are_those_of_each_component(seed, count, dimension, nested):
         MultiBernoulli(tuple(components)))
 
 
-def test_a_model_of_stackable_entries_builds_no_component(monkeypatch):
-    entries = random_entries(np.random.default_rng(3), 50, 2, "flat")
+@pytest.mark.parametrize("nested", ["flat", "nested", "mixed"])
+def test_a_model_of_stackable_entries_builds_no_component(monkeypatch, nested):
+    entries = random_entries(np.random.default_rng(3), 50, 2, nested)
     built = []
     real_post_init = BernoulliComponent.__post_init__
 
@@ -226,6 +228,44 @@ def test_a_model_of_stackable_entries_builds_no_component(monkeypatch):
     monkeypatch.setattr(BernoulliComponent, "__post_init__", counting)
     model = multi_bernoulli_from_document({"components": entries})
     assert built == [] and len(model._means) == 50
+
+
+def scaled_covariance(kind, dimension, exponent, ints):
+    """A covariance of small integers times ``2**exponent``, the exponent
+    cut so that every entry stays finite, which keeps the scaling exact:
+    ``a @ a.T + I`` if definite, ``v @ v.T`` if singular (zero or definite
+    where v is, or in one dimension), or zero; a and v are cut from ints."""
+    a = np.array(ints[:dimension * dimension]).reshape(dimension, dimension)
+    matrix = {"definite": a @ a.T + np.eye(dimension, dtype=int),
+              "singular": a[:, :1] @ a[:, :1].T, "zero": 0 * a}[kind]
+    largest = int(np.abs(matrix).max())
+    return np.ldexp(matrix.astype(float), min(exponent, 1024 - largest.bit_length()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.sampled_from(["definite", "singular", "zero"]),
+                          st.integers(-1074, 1023),
+                          st.lists(st.integers(-2, 2), min_size=9, max_size=9)),
+                min_size=1, max_size=6))
+@example(1, [("definite", 1023, [0] * 9)])  # [[2**1023]], where cov + cov.T overflows
+@example(2, [("singular", -1074, [0, 0, 1] + [0] * 6)])  # [[0, 0], [0, 5e-324]]
+@example(2, [("singular", -1074, [0, 0, 2] + [0] * 6)])  # needs a jitter above 1e-10 * 2e-323
+def test_covariances_at_every_scale_are_read_as_each_component_reads_them(dimension, draws):
+    entries = [{"existence": 1.0, "mean": [0.0] * dimension,
+                "covariance": scaled_covariance(kind, dimension, exponent, ints).tolist()}
+               for kind, exponent, ints in draws]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = multi_bernoulli_from_document(json.loads(json.dumps({"components": entries})))
+        components = [BernoulliComponent(entry["existence"], entry["mean"], entry["covariance"])
+                      for entry in entries]
+    assert np.isfinite(model._scale_trils).all()
+    for k, component in enumerate(components):
+        assert model._existence[k] == component.existence
+        for stack, name in ((model._means, "mean"), (model._covariances, "covariance"),
+                            (model._scale_trils, "scale_tril")):
+            assert stack[k].tobytes() == getattr(component, name).tobytes(), name
 
 
 def first_fault(entries):
