@@ -92,6 +92,12 @@ def _text(lines: list[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _require_workers(args) -> None:
+    """``--workers`` has no effect; it is kept for the scripts that pass it."""
+    if args.workers < 1:
+        raise ValueError("workers must be a positive integer")
+
+
 def _cmd_compute(args) -> str:
     truth = documents.read_point_set(args.truth)
     estimate = documents.read_point_set(args.estimate)
@@ -149,8 +155,8 @@ def _cmd_mean(args) -> str:
     p_prime = args.p_prime if args.p_prime is not None else args.p
     cfg = rfs.EstimatorConfig(p_prime=p_prime, samples=args.samples,
                               master_seed=args.seed)
-    result = rfs.estimate_metric(sampler, params, cfg, variant=args.metric,
-                                 workers=args.workers)
+    _require_workers(args)
+    result = rfs.estimate_metric(sampler, params, cfg, variant=args.metric)
 
     record = {"command": "mean", "metric": args.metric,
               "config": {"c": args.c, "alpha": args.alpha, "p": args.p, "p_prime": p_prime,
@@ -170,8 +176,9 @@ def _cmd_mean(args) -> str:
 
 
 def _cmd_table1(args) -> str:
-    result = rfs.run_table1(samples=args.samples, master_seed=args.seed,
-                            workers=args.workers)
+    cfg = rfs.EstimatorConfig(samples=args.samples, master_seed=args.seed)
+    _require_workers(args)
+    result = rfs.run_table1(samples=cfg.samples, master_seed=cfg.master_seed)
     record = {"command": "table1",
               "config": {"c": result.c, "samples": result.samples, "seed": result.master_seed},
               "cells": [{"metric": cell.metric, "p": cell.p, "n_missed": cell.n_missed,

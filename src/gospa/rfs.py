@@ -5,9 +5,8 @@ distributed random finite sets, where d is GOSPA, OSPA or unnormalized
 OSPA.  Sampling is reproducible: every Monte Carlo sample draws from its
 own random stream keyed by mixing the master seed with the sample index, so
 results are bit-identical for a fixed master seed however the samples are
-split into chunks.  The estimators accept a ``workers`` count, which must
-be a positive integer and has no effect: every run draws and solves its
-chunks one after another in the calling thread.
+split into chunks.  Every run draws and solves its chunks one after
+another in the calling thread.
 
 Draw layout v3.  Sample k's key is ``derive_sample_seed(master_seed, k)``,
 and its i-th word is ``_mix64(_mix64(key) + (i + 1) * 0x9E3779B97F4A7C15)``:
@@ -39,15 +38,15 @@ estimate the words after them.
 
 Every word is a function of the key and its index alone, so a whole chunk
 of samples is drawn with a few array operations, and a sample drawn alone
-is bit-identical to the same sample drawn in a chunk.  Pair samplers whose
-models differ only in existence probabilities, such as the twelve Table 1
-scenarios, draw the same points and existence uniforms, so
-:func:`run_table1` draws each chunk once for all of them and compares the
-uniforms with each scenario's own probabilities.  Each chunk's points and
-one copy of the masks per scenario go to one ``metrics._evaluate_padded``
-call, which finds the close pairs once and solves every copy as
-:func:`gospa.metrics.gospa` would.  Layout v3 replaced v2 (a ``PCG64``
-generator per sample); every seeded estimate changed within Monte Carlo error.
+is bit-identical to the same sample drawn in a chunk.  The twelve Table 1
+scenarios differ only in existence probabilities, so :func:`run_table1`
+gives them as rows of existence probabilities on one pair sampler: each
+chunk is drawn once and its existence uniforms are compared with every
+row.  The chunk's points and one copy of the masks per row go to one
+``metrics._evaluate_padded`` call, which finds the close pairs once and
+solves every copy as :func:`gospa.metrics.gospa` would.  Layout v3 replaced
+v2 (a ``PCG64`` generator per sample); every seeded estimate changed within
+Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -166,12 +165,18 @@ def _cholesky_factors(covariances: np.ndarray) -> tuple[np.ndarray, int]:
     except np.linalg.LinAlgError:
         pass
     for k in np.flatnonzero(nonzero).tolist():
+        largest = float(np.abs(np.diag(covariances[k])).max())
         # relative to the largest variance, so the fix-up scales with the
         # matrix, and at least the smallest normal float, so never zero
-        jitter = max(1e-10 * np.abs(np.diag(covariances[k])).max(), np.finfo(float).tiny)
-        for covariance in (covariances[k], covariances[k] + jitter * np.eye(len(covariances[k]))):
+        jitter = max(1e-10 * largest, float(np.finfo(float).tiny))
+        # where the jittered diagonal would overflow, a quarter of the
+        # matrix is factored and its factor doubled, both exactly
+        doubling = 2.0 if largest + jitter == math.inf else 1.0
+        jittered = (covariances[k] / doubling ** 2
+                    + jitter / doubling ** 2 * np.eye(len(covariances[k])))
+        for covariance, scale in ((covariances[k], 1.0), (jittered, doubling)):
             try:
-                factors[k] = np.linalg.cholesky(covariance)
+                factors[k] = scale * np.linalg.cholesky(covariance)
                 break
             except np.linalg.LinAlgError:
                 pass
@@ -311,8 +316,8 @@ class MultiBernoulli:
         ``start`` onward of each key's stream.  Returns every component's
         point as (len(keys), K, D) and the existence uniforms as
         (len(keys), K); component k exists where its uniform is below its
-        existence probability, which the caller compares, so that models
-        differing only in existence probabilities can share one draw."""
+        existence probability, which the caller compares, so that rows of
+        other existence probabilities can share one draw."""
         n_components, dimension = self._means.shape
         n_normals = n_components * dimension
         words = _stream_words(keys, start, self._word_count)
@@ -333,12 +338,6 @@ class MultiBernoulli:
                 noise = noise + trils[:, d, j] * normals[:, :, j]
             points[:, :, d] = noise + self._means[:, d]
         return points, uniforms[:, :n_components]
-
-    def _draws_like(self, other: MultiBernoulli) -> bool:
-        """Whether both models draw the same points from every stream, which
-        holds when they differ at most in existence probabilities."""
-        return (np.array_equal(self._means, other._means)
-                and np.array_equal(self._scale_trils, other._scale_trils))
 
 
 def sample_multi_bernoulli(model: MultiBernoulli, seed: int) -> np.ndarray:
@@ -363,16 +362,10 @@ class IndependentPairSampler:
             raise ValueError("truth and estimate models must share one dimension")
 
     def sample_pair(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        (xs, x_present), (ys, y_present) = self._draw(
+        (xs, x_uniforms), (ys, y_uniforms) = self._raw_draw(
             np.array([_validated_seed(seed)], dtype=np.uint64))
-        return xs[0][x_present[0]], ys[0][y_present[0]]
-
-    def _draw(self, keys: np.ndarray):
-        """``(xs, x_present), (ys, y_present)``: each model's points, as
-        ``MultiBernoulli._draw`` returns them, and which exist."""
-        (xs, x_uniforms), (ys, y_uniforms) = self._raw_draw(keys)
-        return ((xs, x_uniforms < self.truth._existence),
-                (ys, y_uniforms < self.estimate._existence))
+        return (xs[0][x_uniforms[0] < self.truth._existence],
+                ys[0][y_uniforms[0] < self.estimate._existence])
 
     def _raw_draw(self, keys: np.ndarray):
         """The truth from the first words of each key's stream, then the
@@ -471,26 +464,28 @@ def _chunk_size(sampler: PairSampler) -> int:
     return _CHUNK_SAMPLES
 
 
-def _chunk_values(samplers: Sequence[PairSampler], keys: np.ndarray, base, c: float,
+def _chunk_values(sampler: PairSampler, existences, keys: np.ndarray, base, c: float,
                   alpha: float, requests: dict) -> dict:
-    """The values of a chunk of sample keys for every sampler, as
-    ``{(name, p): values}``, sampler by sampler and each in key order.
+    """The values of a chunk of sample keys, as ``{(name, p): values}``,
+    row by row of ``existences`` and each row in key order.
 
-    Pair samplers of independent models that differ only in existence
-    probabilities draw the chunk once; its points come once, with one copy
-    of the existence masks per sampler.  Any other sampler comes alone, is
-    called once per key and has its sets padded to the largest.  The stack
-    is solved by one ``metrics._evaluate_padded`` call, and a chunk whose
-    sets differ in dimension by one ``metrics._evaluate_each`` call.
+    A pair sampler of independent models draws the chunk once; its points
+    come once, with one copy of the existence masks per row of
+    ``existences``, a pair of (S, K_x) and (S, K_y) existence probabilities
+    that replace the models' own.  Any other sampler has one row and
+    ``existences`` None; it is called once per key and has its sets padded
+    to the largest.  The stack is solved by one ``metrics._evaluate_padded``
+    call, and a chunk whose sets differ in dimension by one
+    ``metrics._evaluate_each`` call.
     """
-    first = samplers[0]
-    if isinstance(first, IndependentPairSampler):
-        (xs, x_uniforms), (ys, y_uniforms) = first._raw_draw(keys)
+    if isinstance(sampler, IndependentPairSampler):
+        (xs, x_uniforms), (ys, y_uniforms) = sampler._raw_draw(keys)
+        x_rows, y_rows = existences
         return _evaluate_padded(
-            xs, np.concatenate([x_uniforms < sampler.truth._existence for sampler in samplers]),
-            ys, np.concatenate([y_uniforms < sampler.estimate._existence for sampler in samplers]),
+            xs, (x_uniforms < x_rows[:, None]).reshape(-1, x_uniforms.shape[1]),
+            ys, (y_uniforms < y_rows[:, None]).reshape(-1, y_uniforms.shape[1]),
             base, c, alpha, requests)
-    pairs = [first.sample_pair(key) for key in keys.tolist()]
+    pairs = [sampler.sample_pair(key) for key in keys.tolist()]
     dimensions = {points.shape[1] for pair in pairs for points in pair if len(points)}
     if len(dimensions) > 1:
         return _evaluate_each(pairs, base, c, alpha, requests)
@@ -520,67 +515,59 @@ def _outer_powers(values: np.ndarray, p_prime: float) -> np.ndarray:
                          "a float") from None
 
 
-def _estimate_cells(samplers: Sequence[PairSampler], params: GospaParams, cells, samples: int,
-                    master_seed: int, workers: int) -> list[list[MetricEstimate]]:
-    """Estimate every cell ``(metric, p, p')`` of every sampler from one draw
-    per sample.
+def _estimate_cells(sampler: PairSampler, params: GospaParams, cells, samples: int,
+                    master_seed: int, existences=None) -> list[list[MetricEstimate]]:
+    """Estimate every cell ``(metric, p, p')`` of every existence row from
+    one draw per sample.
 
-    Several samplers must be :class:`IndependentPairSampler` objects whose
-    models differ only in existence probabilities, so that they share each
-    sample's draw.  Sample k uses the seed ``derive_sample_seed(master_seed,
-    k)`` for all samplers and cells.  The samples are drawn in chunks and
-    each chunk is evaluated at once by :func:`_chunk_values`, whose values
-    are those of the scalar kernel.  The per-sample values are reduced in
-    index order, every cell of every sampler in one
-    :func:`_estimate_from_powers` call, so each sampler's results are those
-    it gets alone and do not depend on the chunk boundaries.  ``workers``
-    must be a positive integer and has no effect.  Returns one list of
-    estimates per sampler, in the order of ``cells``.
+    For an :class:`IndependentPairSampler`, ``existences`` is a pair of
+    (S, K_x) and (S, K_y) arrays whose row s replaces the models' existence
+    probabilities for scenario s; None means one row, the sampler's own.
+    Sample k uses the seed ``derive_sample_seed(master_seed, k)`` for every
+    row and cell.  The samples are drawn in chunks, each evaluated at once
+    by :func:`_chunk_values`, whose values are those of the scalar kernel,
+    and reduced in index order, every cell of every row in one
+    :func:`_estimate_from_powers` call, so each row's results are those of
+    its scenario alone, whatever the chunk boundaries.  Returns one list of
+    estimates per row, in the order of ``cells``.
     """
-    first = samplers[0]
-    if len(samplers) > 1 and not all(
-            isinstance(sampler, IndependentPairSampler)
-            and sampler.truth._draws_like(first.truth)
-            and sampler.estimate._draws_like(first.estimate) for sampler in samplers):
-        raise ValueError("samplers that share a draw may differ only in existence "
-                         "probabilities")
+    if existences is None and isinstance(sampler, IndependentPairSampler):
+        existences = sampler.truth._existence[None], sampler.estimate._existence[None]
+    rows = 1 if existences is None else len(existences[0])
     requests: dict[float, list[str]] = {}
     for metric, p, _ in cells:
         _require_metric(metric)
         requests.setdefault(p, []).append(metric)
     base, c, alpha = params.base_distance, params.c, params.alpha
     try:
-        powers = np.empty((len(samplers), len(cells), samples))
+        powers = np.empty((rows, len(cells), samples))
     except MemoryError:
         raise ValueError(f"not enough memory for the values of {samples} samples") from None
 
-    chunk = _chunk_size(first)
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError("workers must be a positive integer")
+    chunk = _chunk_size(sampler)
     for start in range(0, samples, chunk):
         stop = min(start + chunk, samples)
-        values = _chunk_values(samplers, _sample_keys(master_seed, start, stop), base, c,
-                               alpha, requests)
+        values = _chunk_values(sampler, existences, _sample_keys(master_seed, start, stop),
+                               base, c, alpha, requests)
         for index, (metric, p, p_prime) in enumerate(cells):
             powers[:, index, start:stop] = _outer_powers(
-                values[metric, p], p_prime).reshape(len(samplers), -1)
+                values[metric, p], p_prime).reshape(rows, -1)
         del values  # before the next chunk's values are made
     estimates = _estimate_from_powers(powers.reshape(-1, samples),
-                                      [p_prime for _, _, p_prime in cells] * len(samplers))
+                                      [p_prime for _, _, p_prime in cells] * rows)
     return [estimates[k:k + len(cells)] for k in range(0, len(estimates), len(cells))]
 
 
 def estimate_metric(sampler: PairSampler, params: GospaParams, cfg: EstimatorConfig,
-                    variant: str = "gospa", workers: int = 1) -> MetricEstimate:
+                    variant: str = "gospa") -> MetricEstimate:
     """Estimate ``E[d(X, Y)**p'] ** (1/p')`` over sampled set pairs.
 
     ``variant`` is "gospa" (at ``params.alpha``), "ospa" or "uospa".
     Sample k uses the seed ``derive_sample_seed(cfg.master_seed, k)`` and
-    the per-sample values are reduced in index order.  ``workers`` must be
-    a positive integer and has no effect.
+    the per-sample values are reduced in index order.
     """
-    return _estimate_cells([sampler], params, [(variant, params.p, cfg.p_prime)],
-                           cfg.samples, cfg.master_seed, workers)[0][0]
+    return _estimate_cells(sampler, params, [(variant, params.p, cfg.p_prime)],
+                           cfg.samples, cfg.master_seed)[0][0]
 
 
 def table1_scenario(n_missed: int, n_false: int) -> IndependentPairSampler:
@@ -616,12 +603,14 @@ def table1_scenario(n_missed: int, n_false: int) -> IndependentPairSampler:
 
 
 @functools.cache
-def _table1_samplers() -> tuple[IndependentPairSampler, ...]:
-    """The twelve scenarios of :func:`run_table1`, missed counts outer and
-    false counts inner, built once per process; no caller outside this
-    module sees them."""
-    return tuple(table1_scenario(n_missed, n_false)
-                 for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE)
+def _table1_draw() -> tuple[IndependentPairSampler, tuple[np.ndarray, np.ndarray]]:
+    """:func:`run_table1`'s one sampler and the truth and estimate existence
+    rows of its twelve scenarios, missed counts outer and false counts
+    inner, built once per process; no caller outside this module sees them."""
+    scenarios = [table1_scenario(n_missed, n_false)
+                 for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE]
+    return scenarios[0], (np.stack([scenario.truth._existence for scenario in scenarios]),
+                          np.stack([scenario.estimate._existence for scenario in scenarios]))
 
 
 @dataclass(frozen=True)
@@ -651,26 +640,25 @@ class Table1Result:
         raise KeyError(f"no cell for ({metric}, p={p}, missed={n_missed}, false={n_false})")
 
 
-def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0,
-               workers: int = 1) -> Table1Result:
+def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0) -> Table1Result:
     """Estimate every benchmark-grid cell with p' = p in {1, 2}.
 
     Scenario cells share per-sample seeds (common random numbers).  The
     twelve scenarios, built once per process, differ only in existence
-    probabilities, so each chunk of samples is drawn once for all of them,
-    each scenario compares the shared existence uniforms with its own
-    probabilities, and the chunk's points are solved once with the twelve
-    scenarios' masks.  Each cell equals what :func:`estimate_metric`
-    returns for the corresponding scenario, metric and exponent, bit for
-    bit.
+    probabilities, so they are twelve existence rows of one sampler: each
+    chunk of samples is drawn once, its existence uniforms are compared
+    with every row, and its points are solved once with the twelve rows'
+    masks.  Each cell equals what :func:`estimate_metric` returns for the
+    corresponding scenario, metric and exponent, bit for bit.
     """
     cfg = EstimatorConfig(samples=samples, master_seed=master_seed)
     params = GospaParams(c=c)
     cells = [(metric, p, p) for metric in TABLE1_METRICS for p in TABLE1_EXPONENTS]
     scenarios = [(n_missed, n_false)
                  for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE]
+    sampler, existences = _table1_draw()
     grid = dict(zip(scenarios, _estimate_cells(
-        _table1_samplers(), params, cells, cfg.samples, cfg.master_seed, workers)))
+        sampler, params, cells, cfg.samples, cfg.master_seed, existences)))
     ordered = tuple(
         Table1Cell(metric=metric, p=p, n_missed=n_missed, n_false=n_false,
                    estimate=grid[n_missed, n_false][index])

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -814,6 +815,17 @@ def test_workers_help_says_it_has_no_effect(capsys):
         assert "no effect" in " ".join(out.split())
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["mean", "table1"])
+def test_workers_below_one_exit_2(capsys, remote_models, command, workers):
+    argv = ["table1"] if command == "table1" else ["mean", *remote_models, "--c", "8"]
+    code, out, err = run_cli(capsys, *argv, "--samples", "20", "--workers", workers)
+    assert (code, out, err) == (2, "", "error: workers must be a positive integer\n")
+    # the sample count is checked first
+    code, out, err = run_cli(capsys, *argv, "--samples", "0", "--workers", workers)
+    assert (code, out, err) == (2, "", "error: samples must be a positive integer\n")
+
+
 @pytest.mark.parametrize("depth", [1_000, 100_000])
 @pytest.mark.parametrize("field", ["points", "components"])
 @pytest.mark.parametrize("command", ["compute", "mean"])
@@ -829,6 +841,17 @@ def test_a_deeply_nested_file_exit_2_naming_it(capsys, tmp_path, command, field,
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
+
+
+def test_importing_the_package_loads_no_cli_module():
+    # `import gospa` is what every library user pays for; the CLI, its file
+    # formats and their standard-library modules load only when asked for
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gospa; "
+            "print(sorted({'gospa.cli', 'gospa.documents', 'argparse', 'csv', 'json', "
+            "'scipy', 'hypothesis'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_module_entry_point_runs():

@@ -234,23 +234,31 @@ def scaled_covariance(kind, dimension, exponent, ints):
     """A covariance of small integers times ``2**exponent``, the exponent
     cut so that every entry stays finite, which keeps the scaling exact:
     ``a @ a.T + I`` if definite, ``v @ v.T`` if singular (zero or definite
-    where v is, or in one dimension), or zero; a and v are cut from ints."""
+    where v is, or in one dimension), or zero; a and v are cut from ints.
+    The exponent 1024 instead scales the largest entry to the largest
+    float, exactly where the entries are powers of two, as in ``v @ v.T``
+    with v of 0 and +-1."""
     a = np.array(ints[:dimension * dimension]).reshape(dimension, dimension)
     matrix = {"definite": a @ a.T + np.eye(dimension, dtype=int),
               "singular": a[:, :1] @ a[:, :1].T, "zero": 0 * a}[kind]
     largest = int(np.abs(matrix).max())
+    if exponent == 1024 and largest:
+        return matrix / largest * np.finfo(float).max
     return np.ldexp(matrix.astype(float), min(exponent, 1024 - largest.bit_length()))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3),
        st.lists(st.tuples(st.sampled_from(["definite", "singular", "zero"]),
-                          st.integers(-1074, 1023),
+                          st.integers(-1074, 1024),
                           st.lists(st.integers(-2, 2), min_size=9, max_size=9)),
                 min_size=1, max_size=6))
 @example(1, [("definite", 1023, [0] * 9)])  # [[2**1023]], where cov + cov.T overflows
 @example(2, [("singular", -1074, [0, 0, 1] + [0] * 6)])  # [[0, 0], [0, 5e-324]]
 @example(2, [("singular", -1074, [0, 0, 2] + [0] * 6)])  # needs a jitter above 1e-10 * 2e-323
+# [[max, 0], [0, 0]] for the largest float max, where cov + jitter * I overflows
+@example(2, [("singular", 1024, [1] + [0] * 8)])
+@example(3, [("singular", 1024, [1, 0, 0, -1, 0, 0, 1, 0, 0])])  # +-max, rank one
 def test_covariances_at_every_scale_are_read_as_each_component_reads_them(dimension, draws):
     entries = [{"existence": 1.0, "mean": [0.0] * dimension,
                 "covariance": scaled_covariance(kind, dimension, exponent, ints).tolist()}

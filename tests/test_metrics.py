@@ -1077,7 +1077,7 @@ def test_a_fallback_chunk_is_solved_in_one_call(monkeypatch, route):
         sampler = rfs.CustomJointSampler(some_dimension)
         keys = rfs._sample_keys(3, 0, 30)
         pairs = [sampler.sample_pair(key) for key in keys.tolist()]
-        chunk = functools.partial(rfs._chunk_values, [sampler], keys, base, 2.0, 2.0, requests)
+        chunk = functools.partial(rfs._chunk_values, sampler, None, keys, base, 2.0, 2.0, requests)
     else:
         k = 130 if route == "wide" else 6  # 16,900 slot pairs, beyond the block size
         stack = clustered_stack(np.random.default_rng(2), 12, k, k, 2, 3, 0.5, 0.7)

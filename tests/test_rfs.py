@@ -294,11 +294,11 @@ class TestDrawLayout:
         keys = rfs._sample_keys(21, 0, rfs._CHUNK_SAMPLES + 3)
         for lo, hi in [(0, 1), (4, 7), (0, rfs._CHUNK_SAMPLES),
                        (rfs._CHUNK_SAMPLES - 2, rfs._CHUNK_SAMPLES + 3)]:
-            (xs, x_present), (ys, y_present) = sampler._draw(keys[lo:hi])
+            (xs, x_uniforms), (ys, y_uniforms) = sampler._raw_draw(keys[lo:hi])
             for k, key in enumerate(keys[lo:hi].tolist()):
                 x, y = sampler.sample_pair(key)
-                assert np.array_equal(xs[k][x_present[k]], x)
-                assert np.array_equal(ys[k][y_present[k]], y)
+                assert np.array_equal(xs[k][x_uniforms[k] < sampler.truth._existence], x)
+                assert np.array_equal(ys[k][y_uniforms[k] < sampler.estimate._existence], y)
                 assert np.array_equal(
                     sample_multi_bernoulli(sampler.truth, key), x)
 
@@ -461,15 +461,6 @@ class TestEstimateMetric:
         assert result.value == pytest.approx(8.0, abs=1e-12)
         assert result.standard_error <= 1e-12
 
-    def test_deterministic_and_parallel_consistent(self):
-        sampler = table1_scenario(0, 1)
-        params = GospaParams(c=8.0, alpha=2.0, p=1.0)
-        cfg = EstimatorConfig(samples=128, master_seed=77)
-        serial = estimate_metric(sampler, params, cfg)
-        again = estimate_metric(sampler, params, cfg)
-        parallel = estimate_metric(sampler, params, cfg, workers=4)
-        assert serial == again == parallel
-
     def test_standard_error_scales_with_sample_count(self):
         sampler = table1_scenario(0, 0)
         params = GospaParams(c=8.0, alpha=2.0, p=1.0)
@@ -526,24 +517,22 @@ class TestEstimateMetric:
             / (cfg.p_prime * np.mean(powers))
         assert result.standard_error == pytest.approx(se, rel=1e-12)
 
-    def test_chunk_boundaries_and_workers_change_nothing(self, monkeypatch):
+    def test_chunk_boundaries_change_nothing(self, monkeypatch):
         sampler = table1_scenario(0, 1)
         params = GospaParams(c=8.0, alpha=1.5, p=2.0)
         cfg = EstimatorConfig(p_prime=1.5, samples=rfs._CHUNK_SAMPLES + 5, master_seed=8)
-        results = [estimate_metric(sampler, params, cfg, variant=variant, workers=workers)
-                   for variant in ("gospa", "ospa") for workers in (1, 2)]
+        results = [estimate_metric(sampler, params, cfg, variant=variant)
+                   for variant in ("gospa", "ospa")]
         for chunk in (1, 3):
             monkeypatch.setattr(rfs, "_CHUNK_SAMPLES", chunk)
-            assert results == [estimate_metric(sampler, params, cfg, variant=variant,
-                                               workers=workers)
-                               for variant in ("gospa", "ospa") for workers in (1, 2)]
+            assert results == [estimate_metric(sampler, params, cfg, variant=variant)
+                               for variant in ("gospa", "ospa")]
         powers = [gospa(*sampler.sample_pair(derive_sample_seed(8, k)), params).total ** 1.5
                   for k in range(cfg.samples)]
         assert results[0].value == np.mean(powers) ** (1.0 / 1.5)
 
     @pytest.mark.parametrize("chunk", [1, 54, 256])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_padded_chunks_match_a_plain_loop(self, monkeypatch, chunk, workers):
+    def test_padded_chunks_match_a_plain_loop(self, monkeypatch, chunk):
         # ten truths, each with a perturbed copy among the estimates and
         # some near a neighbour, so most samples are solved on their padded
         # draw, with forced pairs and small clusters
@@ -561,7 +550,7 @@ class TestEstimateMetric:
         pairs = [sampler.sample_pair(derive_sample_seed(17, k)) for k in range(cfg.samples)]
         assert sum(not metrics._enumerable(len(x), len(y)) for x, y in pairs) > 250
         for variant in ("gospa", "ospa"):
-            result = estimate_metric(sampler, params, cfg, variant=variant, workers=workers)
+            result = estimate_metric(sampler, params, cfg, variant=variant)
             if variant == "ospa":
                 values = [ospa(x, y, c=4.0, p=2.0) for x, y in pairs]
             else:
@@ -595,7 +584,7 @@ class TestEstimateMetric:
         sampler = CustomJointSampler(lambda seed: draw(np.random.Generator(np.random.PCG64(seed))))
         c, alpha, p = 4.0, 1.5, 2.0
         keys = rfs._sample_keys(5, 0, 40)
-        got = rfs._chunk_values([sampler], keys, "euclidean", c, alpha, {p: [variant]})
+        got = rfs._chunk_values(sampler, None, keys, "euclidean", c, alpha, {p: [variant]})
         expected = []
         for k in range(len(keys)):
             x, y = sampler.sample_pair(derive_sample_seed(5, k))
@@ -605,21 +594,6 @@ class TestEstimateMetric:
                 params = GospaParams(c=c, alpha=alpha if variant == "gospa" else 1.0, p=p)
                 expected.append(gospa(x, y, params).total)
         assert np.array(got[variant, p]).tobytes() == np.array(expected).tobytes()
-
-    def test_rejects_bad_workers(self):
-        sampler = table1_scenario(0, 0)
-        with pytest.raises(ValueError, match="workers"):
-            estimate_metric(sampler, GospaParams(c=8.0), EstimatorConfig(samples=2),
-                            workers=0)
-
-
-@pytest.mark.parametrize("workers", ["2", 2.0, True, None])
-def test_rejects_non_integer_workers(workers):
-    with pytest.raises(ValueError, match="workers"):
-        estimate_metric(table1_scenario(0, 0), GospaParams(c=8.0), EstimatorConfig(samples=2),
-                        workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        run_table1(samples=2, workers=workers)
 
 
 REMOTE_PAIR = (
@@ -815,17 +789,15 @@ class TestRunTable1:
             cell = result.estimate(metric, p, n_missed, n_false)
             assert direct == cell
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_cell_matches_estimate_metric_bitwise(self, workers):
+    def test_every_cell_matches_estimate_metric_bitwise(self):
         # 600 samples span three chunks of 256
-        result = run_table1(samples=600, master_seed=29, workers=workers)
+        result = run_table1(samples=600, master_seed=29)
         assert 600 > 2 * rfs._chunk_size(table1_scenario(0, 0))
         for cell in result.cells:
             sampler = table1_scenario(cell.n_missed, cell.n_false)
             params = GospaParams(c=8.0, alpha=2.0, p=cell.p)
             cfg = EstimatorConfig(p_prime=cell.p, samples=600, master_seed=29)
-            assert cell.estimate == estimate_metric(sampler, params, cfg, variant=cell.metric,
-                                                    workers=workers)
+            assert cell.estimate == estimate_metric(sampler, params, cfg, variant=cell.metric)
 
     def test_each_chunk_is_drawn_once_for_every_scenario(self, monkeypatch):
         draws = []
@@ -878,28 +850,31 @@ class TestRunTable1:
         run_table1(samples=2, master_seed=0)
         assert built == []
 
-    def test_samplers_sharing_a_draw_must_differ_only_in_existence(self):
+    def test_the_scenarios_differ_only_in_existence(self):
+        scenarios = [table1_scenario(n_missed, n_false)
+                     for n_missed in rfs.TABLE1_N_MISSED for n_false in rfs.TABLE1_N_FALSE]
+        for scenario in scenarios:
+            for side in ("truth", "estimate"):
+                model, first = getattr(scenario, side), getattr(scenarios[0], side)
+                assert model._means.tobytes() == first._means.tobytes()
+                assert model._scale_trils.tobytes() == first._scale_trils.tobytes()
+
+    def test_each_existence_row_is_estimated_as_its_scenario_alone(self):
         params = GospaParams(c=8.0)
-        cells = [("gospa", 1.0, 1.0)]
-        moved = table1_scenario(0, 0)
-        moved = IndependentPairSampler(moved.truth, MultiBernoulli(tuple(
-            BernoulliComponent(comp.existence, comp.mean + 1.0, comp.covariance)
-            for comp in moved.estimate.components)))
-        for other in (moved, CustomJointSampler(lambda seed: ([], []))):
-            with pytest.raises(ValueError, match="existence"):
-                rfs._estimate_cells([table1_scenario(0, 0), other], params, cells, 4, 0, 1)
+        cells = [("gospa", 1.0, 1.0), ("ospa", 2.0, 1.5), ("uospa", 1.0, 2.0)]
+        first = table1_scenario(0, 0)
         half_truth = IndependentPairSampler(MultiBernoulli(tuple(
             BernoulliComponent(0.5, comp.mean, comp.covariance)
-            for comp in moved.truth.components)), table1_scenario(0, 1).estimate)
+            for comp in first.truth.components)), table1_scenario(0, 1).estimate)
         alike = [table1_scenario(1, 3), table1_scenario(2, 10), half_truth]
-        shared = rfs._estimate_cells(alike, params, cells, 40, 6, 1)
-        assert shared == [rfs._estimate_cells([sampler], params, cells, 40, 6, 1)[0]
-                          for sampler in alike]
-
-    def test_parallel_bitwise_identical(self):
-        serial = run_table1(samples=48, master_seed=4)
-        parallel = run_table1(samples=48, master_seed=4, workers=4)
-        assert serial.cells == parallel.cells
+        existences = (np.stack([sampler.truth._existence for sampler in alike]),
+                      np.stack([sampler.estimate._existence for sampler in alike]))
+        shared = rfs._estimate_cells(first, params, cells, 40, 6, existences)
+        for sampler, row in zip(alike, shared):
+            assert row == [estimate_metric(sampler, GospaParams(c=8.0, p=p),
+                                           EstimatorConfig(p_prime=p_prime, samples=40,
+                                                           master_seed=6), variant=metric)
+                           for metric, p, p_prime in cells]
 
     def test_grid_shape(self):
         result = run_table1(samples=5, master_seed=0)
