@@ -19,8 +19,8 @@ uniform is ``(word >> 11) * 2**-53``.
 A multi-Bernoulli model holds its K components as stacks in index order:
 existence probabilities (K,), means (K, D), and covariances and their
 Cholesky factors (K, D, D).  One validator checks and factors components
-as stacks: a model read from a file is its K-component case and a
-:class:`BernoulliComponent` its one-component case.  A singular covariance
+as stacks, once for each model the package builds; a
+:class:`BernoulliComponent` is its one-component case.  A singular covariance
 is factored after a jitter of 1e-10 times its largest variance, and at
 least the smallest normal float, is added to its diagonal.
 
@@ -38,15 +38,11 @@ estimate the words after them.
 
 Every word is a function of the key and its index alone, so a whole chunk
 of samples is drawn with a few array operations, and a sample drawn alone
-is bit-identical to the same sample drawn in a chunk.  The twelve Table 1
-scenarios differ only in existence probabilities, so :func:`run_table1`
-gives them as rows of existence probabilities on one pair sampler: each
-chunk is drawn once and its existence uniforms are compared with every
-row.  The chunk's points and one copy of the masks per row go to one
-``metrics._evaluate_padded`` call, which finds the close pairs once and
-solves every copy as :func:`gospa.metrics.gospa` would.  Layout v3 replaced
-v2 (a ``PCG64`` generator per sample); every seeded estimate changed within
-Monte Carlo error.
+is bit-identical to the same sample drawn in a chunk.  :func:`run_table1`
+gives the twelve Table 1 scenarios, which differ only in existence
+probabilities, as existence rows of one pair sampler's draw.  Layout v3
+replaced v2 (a ``PCG64`` generator per sample); every seeded estimate
+changed within Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -84,6 +80,9 @@ _TABLE1_DETECTED_MEANS = ((-6.7, -5.1), (-1.8, 2.9))
 # detected-estimate mean (and from each other) that their pairings always
 # saturate at the cut-off in the benchmark scenarios.
 _TABLE1_FALSE_MEANS = tuple((20.0 * k, 20.0) for k in range(1, 11))
+# run_table1's one order of the scenarios: missed counts outer, false inner
+_TABLE1_SCENARIOS = tuple((n_missed, n_false)
+                          for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE)
 
 
 def derive_sample_seed(master_seed: int, index: int) -> int:
@@ -279,11 +278,11 @@ class MultiBernoulli:
 
     @classmethod
     def _from_fields(cls, fields: Sequence[tuple]) -> MultiBernoulli:
-        """The model of components given by their :func:`_component_fields`,
-        bit for bit that of each one's ``BernoulliComponent``."""
+        """The model of one or more :func:`_component_fields`, checked by one
+        :func:`_checked` call, bit for bit each one's ``BernoulliComponent``."""
         stacks = _checked(fields, first=0)
-        if stacks is None:  # no components, or ones of different dimensions,
-            return cls(BernoulliComponent(*field) for field in fields)  # which cls rejects
+        if stacks is None:  # every field passed alone, so their dimensions differ
+            raise ValueError("all components must share one dimension")
         model = object.__new__(cls)
         model._existence, model._means, model._covariances, model._scale_trils = stacks
         return model
@@ -347,6 +346,9 @@ def sample_multi_bernoulli(model: MultiBernoulli, seed: int) -> np.ndarray:
 
 
 class PairSampler(Protocol):
+    """Draws a (truth, estimate) pair from a seed; any sampler that is not
+    built in is read as ``CustomJointSampler(sampler.sample_pair)``."""
+
     def sample_pair(self, seed: int) -> tuple[np.ndarray, np.ndarray]: ...
 
 
@@ -472,8 +474,8 @@ def _chunk_values(sampler: PairSampler, existences, keys: np.ndarray, base, c: f
     A pair sampler of independent models draws the chunk once; its points
     come once, with one copy of the existence masks per row of
     ``existences``, a pair of (S, K_x) and (S, K_y) existence probabilities
-    that replace the models' own.  Any other sampler has one row and
-    ``existences`` None; it is called once per key and has its sets padded
+    that replace the models' own.  A :class:`CustomJointSampler` has one row
+    and ``existences`` None; it is called once per key and has its sets padded
     to the largest.  The stack is solved by one ``metrics._evaluate_padded``
     call, and a chunk whose sets differ in dimension by one
     ``metrics._evaluate_each`` call.
@@ -523,16 +525,20 @@ def _estimate_cells(sampler: PairSampler, params: GospaParams, cells, samples: i
     For an :class:`IndependentPairSampler`, ``existences`` is a pair of
     (S, K_x) and (S, K_y) arrays whose row s replaces the models' existence
     probabilities for scenario s; None means one row, the sampler's own.
-    Sample k uses the seed ``derive_sample_seed(master_seed, k)`` for every
-    row and cell.  The samples are drawn in chunks, each evaluated at once
-    by :func:`_chunk_values`, whose values are those of the scalar kernel,
-    and reduced in index order, every cell of every row in one
+    Any other sampler has one row and is read as a
+    :class:`CustomJointSampler` of its ``sample_pair``, which checks its
+    sets.  Sample k uses the seed ``derive_sample_seed(master_seed, k)`` for
+    every row and cell.  The samples are drawn in chunks, each evaluated at
+    once by :func:`_chunk_values`, whose values are those of the scalar
+    kernel, and reduced in index order, every cell of every row in one
     :func:`_estimate_from_powers` call, so each row's results are those of
     its scenario alone, whatever the chunk boundaries.  Returns one list of
     estimates per row, in the order of ``cells``.
     """
     if existences is None and isinstance(sampler, IndependentPairSampler):
         existences = sampler.truth._existence[None], sampler.estimate._existence[None]
+    elif not isinstance(sampler, (IndependentPairSampler, CustomJointSampler)):
+        sampler = CustomJointSampler(sampler.sample_pair)
     rows = 1 if existences is None else len(existences[0])
     requests: dict[float, list[str]] = {}
     for metric, p, _ in cells:
@@ -570,6 +576,13 @@ def estimate_metric(sampler: PairSampler, params: GospaParams, cfg: EstimatorCon
                            cfg.samples, cfg.master_seed)[0][0]
 
 
+def _table1_existence(n_missed: int, n_false: int) -> list[float]:
+    """A Table 1 estimate's existence probabilities: of two detected
+    components the last ``n_missed`` absent, of ten remote ones the first
+    ``n_false`` present."""
+    return [float(k < 2 - n_missed) for k in range(2)] + [float(k < n_false) for k in range(10)]
+
+
 def table1_scenario(n_missed: int, n_false: int) -> IndependentPairSampler:
     """Benchmark scenario: two always-present planar truth targets versus an
     estimate that misses ``n_missed`` of them and adds ``n_false`` false
@@ -577,40 +590,29 @@ def table1_scenario(n_missed: int, n_false: int) -> IndependentPairSampler:
 
     The truth components are unit-covariance Gaussians at (-6, -6) and
     (0, 3); the detected-estimate components sit at (-6.7, -5.1) and
-    (-1.8, 2.9).  Missing targets are modelled by zeroing the existence of
-    estimate components (the second one first), false targets by enabling
-    the first ``n_false`` of ten remote components.
+    (-1.8, 2.9), then ten remote ones, with :func:`_table1_existence`'s
+    probabilities.  Each model is checked as stacks by one call.
     """
     if isinstance(n_missed, bool) or n_missed not in (0, 1, 2):
         raise ValueError("n_missed must be 0, 1 or 2")
     if isinstance(n_false, bool) or not isinstance(n_false, (int, np.integer)) \
             or not 0 <= n_false <= 10:
         raise ValueError("n_false must be an integer in [0, 10]")
-    n_missed, n_false = int(n_missed), int(n_false)
     eye = np.eye(2)
-    truth = MultiBernoulli(tuple(
-        BernoulliComponent(1.0, mean, eye) for mean in _TABLE1_TRUTH_MEANS))
-    detected_existence = ((1.0, 1.0), (1.0, 0.0), (0.0, 0.0))[n_missed]
-    components = [
-        BernoulliComponent(existence, mean, eye)
-        for existence, mean in zip(detected_existence, _TABLE1_DETECTED_MEANS)
-    ]
-    components.extend(
-        BernoulliComponent(1.0 if k < n_false else 0.0, mean, eye)
-        for k, mean in enumerate(_TABLE1_FALSE_MEANS)
-    )
-    return IndependentPairSampler(truth=truth, estimate=MultiBernoulli(tuple(components)))
+    truth = MultiBernoulli._from_fields(
+        [_component_fields(1.0, mean, eye) for mean in _TABLE1_TRUTH_MEANS])
+    estimate = MultiBernoulli._from_fields([
+        _component_fields(existence, mean, eye) for existence, mean in zip(
+            _table1_existence(n_missed, n_false), _TABLE1_DETECTED_MEANS + _TABLE1_FALSE_MEANS)])
+    return IndependentPairSampler(truth=truth, estimate=estimate)
 
 
 @functools.cache
 def _table1_draw() -> tuple[IndependentPairSampler, tuple[np.ndarray, np.ndarray]]:
-    """:func:`run_table1`'s one sampler and the truth and estimate existence
-    rows of its twelve scenarios, missed counts outer and false counts
-    inner, built once per process; no caller outside this module sees them."""
-    scenarios = [table1_scenario(n_missed, n_false)
-                 for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE]
-    return scenarios[0], (np.stack([scenario.truth._existence for scenario in scenarios]),
-                          np.stack([scenario.estimate._existence for scenario in scenarios]))
+    """``table1_scenario(0, 0)`` and, in ``_TABLE1_SCENARIOS`` order, its truth
+    rows (ones) and estimate rows (:func:`_table1_existence`), built once."""
+    return table1_scenario(0, 0), (np.ones((len(_TABLE1_SCENARIOS), 2)), np.array(
+        [_table1_existence(*scenario) for scenario in _TABLE1_SCENARIOS]))
 
 
 @dataclass(frozen=True)
@@ -654,10 +656,8 @@ def run_table1(samples: int = 1000, master_seed: int = 0, c: float = 8.0) -> Tab
     cfg = EstimatorConfig(samples=samples, master_seed=master_seed)
     params = GospaParams(c=c)
     cells = [(metric, p, p) for metric in TABLE1_METRICS for p in TABLE1_EXPONENTS]
-    scenarios = [(n_missed, n_false)
-                 for n_missed in TABLE1_N_MISSED for n_false in TABLE1_N_FALSE]
     sampler, existences = _table1_draw()
-    grid = dict(zip(scenarios, _estimate_cells(
+    grid = dict(zip(_TABLE1_SCENARIOS, _estimate_cells(
         sampler, params, cells, cfg.samples, cfg.master_seed, existences)))
     ordered = tuple(
         Table1Cell(metric=metric, p=p, n_missed=n_missed, n_false=n_false,

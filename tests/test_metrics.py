@@ -816,6 +816,19 @@ def test_enumeration_sums_that_overflow_go_to_the_assignment_solver():
     assert detected.assignment.pairs == ((0, 1), (1, 0), (2, 3), (3, 2))
 
 
+def test_an_exact_tie_that_float_sums_break_takes_the_tie_rule():
+    # both optima cost exactly 0.8 + 1.6 + 4.8, but summed in row order the
+    # second, ((0, 2), (1, 0), (2, 1)), rounds to 7.199999999999999 and the
+    # first, which the tie rule picks, to 7.2
+    costs = [[5.6, 0.8, 0.8], [4.8, 4.8, 1.6], [4.8, 1.6, 5.6]]
+    points = [[0.0], [1.0], [2.0]]
+    params = GospaParams(c=8.0, p=1.0, base_distance=lambda a, b: costs[int(a[0])][int(b[0])])
+    result = gospa(points, points, params)
+    assert result.assignment.pairs == ((0, 1), (1, 2), (2, 0))
+    assert result.total == 7.2
+    assert solve_full_assignment(costs).pairs == ((0, 1), (1, 2), (2, 0))
+
+
 def test_a_cost_entry_beyond_the_float_range_is_a_value_error():
     xs, ys = np.zeros((2, 1, 2)), np.ones((2, 2, 2))
     for stack in ((xs, ys), (xs, ys[:, :0]), (xs[:, :0], ys)):

@@ -125,6 +125,12 @@ class TestMultiBernoulli:
                 BernoulliComponent(1.0, [0.0, 0.0], np.eye(2)),
             ))
 
+    def test_stacked_fields_of_two_dimensions_are_rejected(self):
+        fields = [rfs._component_fields(1.0, [0.0], [[1.0]]),
+                  rfs._component_fields(1.0, [0.0, 0.0], np.eye(2))]
+        with pytest.raises(ValueError, match=r"^all components must share one dimension$"):
+            MultiBernoulli._from_fields(fields)
+
 
 class TestSampling:
     def test_existence_zero_never_contributes(self):
@@ -392,6 +398,29 @@ class TestSamplers:
             estimate_metric(sampler, GospaParams(c=1.0), EstimatorConfig(samples=4))
         empty = CustomJointSampler(lambda seed: ([], np.zeros((0, 2))))
         assert estimate_metric(empty, GospaParams(c=1.0), EstimatorConfig(samples=4)).value == 0.0
+
+
+class _PlainSampler:
+    """A sampler that is not built in: it returns the sets it was given."""
+
+    def __init__(self, x, y):
+        self.sets = x, y
+
+    def sample_pair(self, seed):
+        return self.sets
+
+
+def test_any_other_sampler_is_read_as_a_custom_sampler():
+    params, cfg = GospaParams(c=2.0, p=1.0), EstimatorConfig(samples=10)
+    sets = ([[0.0, 0.0]], [[0.5, 0.0], [9.0, 0.0]])  # lists, not arrays
+    plain = estimate_metric(_PlainSampler(*sets), params, cfg)
+    assert plain == estimate_metric(CustomJointSampler(lambda seed: sets), params, cfg)
+    assert plain.value == 1.5
+    with pytest.raises(ValueError, match=r"^state coordinates must be finite$"):
+        estimate_metric(_PlainSampler(np.array([[0.0, math.nan]]), np.zeros((1, 2))),
+                        params, cfg)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        estimate_metric(_PlainSampler(np.zeros((1, 2)), np.zeros((1, 3))), params, cfg)
 
 
 class TestEstimatorConfig:
@@ -769,6 +798,24 @@ class TestTable1Scenario:
             for other in truth_means + detected:
                 assert np.linalg.norm(false_mean - other) > 2 * cutoff
 
+    @pytest.mark.parametrize("n_missed", rfs.TABLE1_N_MISSED)
+    @pytest.mark.parametrize("n_false", rfs.TABLE1_N_FALSE)
+    def test_stacks_are_those_of_a_model_of_components(self, n_missed, n_false):
+        eye = np.eye(2)
+        truth = MultiBernoulli(tuple(
+            BernoulliComponent(1.0, mean, eye) for mean in [(-6.0, -6.0), (0.0, 3.0)]))
+        existence = [(1.0, 1.0), (1.0, 0.0), (0.0, 0.0)][n_missed] + tuple(
+            1.0 if k < n_false else 0.0 for k in range(10))
+        means = [(-6.7, -5.1), (-1.8, 2.9)] + [(20.0 * k, 20.0) for k in range(1, 11)]
+        estimate = MultiBernoulli(tuple(
+            BernoulliComponent(e, mean, eye) for e, mean in zip(existence, means)))
+        sampler = table1_scenario(n_missed, n_false)
+        for model, expected in ((sampler.truth, truth), (sampler.estimate, estimate)):
+            for name in ("_existence", "_means", "_covariances", "_scale_trils"):
+                stack, reference = getattr(model, name), getattr(expected, name)
+                assert stack.dtype == reference.dtype and stack.shape == reference.shape
+                assert stack.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("n_missed,n_false", [(-1, 0), (3, 0), (0, -1), (0, 11)])
     def test_rejects_out_of_range(self, n_missed, n_false):
         with pytest.raises(ValueError):
@@ -849,6 +896,25 @@ class TestRunTable1:
         monkeypatch.setattr(BernoulliComponent, "__post_init__", counting)
         run_table1(samples=2, master_seed=0)
         assert built == []
+
+    def test_a_cold_draw_checks_each_model_once_as_stacks(self, monkeypatch):
+        built, checked = [], []
+        real_post_init, real_checked = BernoulliComponent.__post_init__, rfs._checked
+
+        def counting_post_init(component):
+            built.append(component)
+            real_post_init(component)
+
+        def counting_checked(fields, *args, **kwargs):
+            checked.append(len(fields))
+            return real_checked(fields, *args, **kwargs)
+
+        monkeypatch.setattr(BernoulliComponent, "__post_init__", counting_post_init)
+        monkeypatch.setattr(rfs, "_checked", counting_checked)
+        rfs._table1_draw.cache_clear()
+        rfs._table1_draw()
+        # the truth's two components and the estimate's twelve, one call each
+        assert built == [] and checked == [2, 12]
 
     def test_the_scenarios_differ_only_in_existence(self):
         scenarios = [table1_scenario(n_missed, n_false)
