@@ -3,7 +3,9 @@
 The solver assigns every row of an m x n matrix (m <= n) to a distinct
 column so that the summed cost is minimal.  Among cost-optimal solutions it
 returns the lexicographically smallest pair set (sorted by row, then
-column), which keeps outputs reproducible when costs tie.
+column), which keeps outputs reproducible when costs tie.  Ties are decided
+exactly: the tie pass keeps a move only when the exact sum of the costs it
+changes does not rise, whatever the float sums round to.
 """
 
 from __future__ import annotations
@@ -117,40 +119,37 @@ def _shortest_augmenting_paths(cost_rows: list[list[float]]):
     return col4row, row4col, u, v
 
 
-def _augment(adjacency, row_to_col, col_to_row, fixed, start_row) -> bool:
-    """Re-home ``start_row`` along an alternating path that may displace any
-    non-fixed row.  Applies the flips on success."""
-    came_from: dict[int, int] = {}
-    visited_rows = {start_row}
-    visited_cols: set[int] = set()
+def _augment(adjacency, row_to_col, col_to_row, fixed, start_row, goal):
+    """Breadth-first search for an alternating path from ``start_row`` to
+    column ``goal`` that displaces only non-fixed rows.  Returns its moves
+    as (row, new column) pairs, or None; applies none of them."""
+    # the start row's own column goes to the row that displaced it
+    came_from = {row_to_col[start_row]: start_row}
     queue = deque([start_row])
-    goal = -1
-    while queue and goal < 0:
+    while queue:
         r = queue.popleft()
         for j in adjacency[r]:
-            if j in visited_cols:
+            if j in came_from:
                 continue
-            visited_cols.add(j)
             came_from[j] = r
-            occupant = col_to_row[j]
-            if occupant == -1:
-                goal = j
-                break
-            if fixed[occupant] or occupant in visited_rows:
-                continue
-            visited_rows.add(occupant)
-            queue.append(occupant)
-    if goal < 0:
-        return False
-    j = goal
-    while True:
-        r = came_from[j]
-        vacated = row_to_col[r]
-        row_to_col[r] = j
-        col_to_row[j] = r
-        if r == start_row:
-            return True
-        j = vacated
+            if j == goal:
+                moves = [(r, j)]
+                while r != start_row:
+                    j = row_to_col[r]
+                    r = came_from[j]
+                    moves.append((r, j))
+                return moves
+            if not fixed[col_to_row[j]]:
+                queue.append(col_to_row[j])
+    return None
+
+
+def _exact_sum(cost_rows, cells) -> int:
+    """The sum of the costs at (row, column) ``cells`` in units of 2**-1074,
+    the smallest float step, so that no cost or sum is rounded: a cost is
+    n / d with d a power of two, so it is n << (1074 - log2 d) units."""
+    ratios = (cost_rows[i][j].as_integer_ratio() for i, j in cells)
+    return sum(n << (1075 - d.bit_length()) for n, d in ratios)
 
 
 def _lexicographically_smallest(cost_rows, col4row, row4col, u, v, tol):
@@ -162,8 +161,8 @@ def _lexicographically_smallest(cost_rows, col4row, row4col, u, v, tol):
     turns that into perfect matchings of a square bipartite graph, through
     which rows are greedily fixed to their smallest feasible column.  The
     dual tolerance only nominates candidate moves; a move is kept solely
-    when the exact row-ordered total does not increase, so float noise can
-    never trade optimality for a smaller column index.
+    when the exact sum of the real costs it changes does not rise, so float
+    noise can never trade optimality for a smaller column index.
     """
     n_rows = len(cost_rows)
     n_cols = len(cost_rows[0])
@@ -184,13 +183,6 @@ def _lexicographically_smallest(cost_rows, col4row, row4col, u, v, tol):
             row_to_col.append(j)
             next_dummy += 1
 
-    def real_total() -> float:
-        total = 0.0
-        for i in range(n_rows):
-            total += cost_rows[i][row_to_col[i]]
-        return total
-
-    incumbent = real_total()
     fixed = [False] * n_cols
     for i in range(n_rows):
         fixed[i] = True
@@ -201,21 +193,32 @@ def _lexicographically_smallest(cost_rows, col4row, row4col, u, v, tol):
             occupant = col_to_row[j]
             if fixed[occupant]:
                 continue
-            saved_rows = row_to_col.copy()
-            saved_cols = col_to_row.copy()
-            row_to_col[i] = j
-            col_to_row[current] = -1
-            col_to_row[j] = i
-            row_to_col[occupant] = -1
-            if _augment(adjacency, row_to_col, col_to_row, fixed, occupant):
-                candidate = real_total()
-                if candidate <= incumbent:
-                    incumbent = candidate
-                    break
-            row_to_col[:] = saved_rows
-            col_to_row[:] = saved_cols
+            moves = _augment(adjacency, row_to_col, col_to_row, fixed, occupant, current)
+            if moves is None:
+                continue
+            moves.append((i, j))
+            new = [(r, k) for r, k in moves if r < n_rows]
+            old = [(r, row_to_col[r]) for r, _ in new]
+            if _exact_sum(cost_rows, new) <= _exact_sum(cost_rows, old):
+                for r, k in moves:
+                    row_to_col[r] = k
+                    col_to_row[k] = r
+                break
 
     return row_to_col[:n_rows]
+
+
+def _optimal_assignment(matrix: np.ndarray) -> AssignmentSet:
+    """:func:`solve_full_assignment` on a checked matrix, whose total may
+    overflow to inf."""
+    cost_rows = matrix.tolist()
+    col4row, row4col, u, v = _shortest_augmenting_paths(cost_rows)
+    tol = 1e-12 * max(1.0, float(matrix.max()))
+    pairs = tuple(enumerate(_lexicographically_smallest(cost_rows, col4row, row4col, u, v, tol)))
+    total = 0.0
+    for i, j in pairs:
+        total += cost_rows[i][j]
+    return AssignmentSet(pairs=pairs, total_cost=total)
 
 
 def solve_full_assignment(costs) -> AssignmentSet:
@@ -223,22 +226,14 @@ def solve_full_assignment(costs) -> AssignmentSet:
 
     Returns an :class:`AssignmentSet` with exactly m pairs.  Deterministic:
     among cost ties the lexicographically smallest pair set wins.  Raises
-    ``ValueError`` for non-finite or negative entries, or when m > n
-    (transpose such inputs before calling).
+    ``ValueError`` for non-finite or negative entries, when m > n
+    (transpose such inputs before calling), or when the total cost
+    overflows a float.
     """
     matrix = _validated_matrix(costs)
-    n_rows, n_cols = matrix.shape
-    if n_rows > n_cols:
+    if matrix.shape[0] > matrix.shape[1]:
         raise ValueError("cost matrix must have no more rows than columns; transpose the input")
-
-    cost_rows = matrix.tolist()
-    col4row, row4col, u, v = _shortest_augmenting_paths(cost_rows)
-    tol = 1e-12 * max(1.0, float(matrix.max()))
-    col4row = _lexicographically_smallest(cost_rows, col4row, row4col, u, v, tol)
-
-    pairs = tuple((i, col4row[i]) for i in range(n_rows))
-    total = 0.0
-    for i, j in pairs:
-        total += cost_rows[i][j]
-    return AssignmentSet(pairs=pairs, total_cost=total)
-
+    result = _optimal_assignment(matrix)
+    if math.isinf(result.total_cost):
+        raise ValueError("the total cost exceeds the float range")
+    return result

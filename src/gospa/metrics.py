@@ -19,7 +19,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .assignment import AssignmentSet, solve_full_assignment
+# the solve without the public check of its total, which the dummy columns
+# at c**p of _component_pairs can overflow where the metric does not; bound
+# to the public name, which the tests and perfbench's tracer patch here
+from .assignment import AssignmentSet, _optimal_assignment as solve_full_assignment
 
 BaseDistance = Union[str, Callable[[np.ndarray, np.ndarray], float]]
 
@@ -40,8 +43,8 @@ _ENUMERATION_MAX_INJECTIONS = 1024
 # time.
 _PADDED_BLOCK_CELLS = 16384
 # A component whose best and second-best detected-pair sets differ in cost by
-# at most this share of c**p is solved by the assignment solver instead, so
-# rounding in the enumeration can never pick a different set.
+# at most this share of c**p goes to the assignment solver, whose tie pass
+# compares exact sums of costs, not the enumeration's rounded float sums.
 _ENUMERATION_TIE_GAP = 1e-9
 
 

@@ -1,15 +1,16 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is written in plain Python (math module, explicit loops,
-exhaustive enumeration) so it shares no code path with the package, except
-that :func:`brute_force_assignment` checks its matrix as the package's
-solver does, and :func:`gospa_permutation_form` reads its inputs through
-the package but solves the assignment with SciPy.
+Everything here is written in plain Python (math and fractions modules,
+explicit loops, exhaustive enumeration) so it shares no code path with the
+package, except that :func:`brute_force_assignment` checks its matrix as
+the package's solver does, and :func:`gospa_permutation_form` reads its
+inputs through the package but solves the assignment with SciPy.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -48,7 +49,9 @@ def brute_force_assignment(costs) -> AssignmentSet:
     """Exhaustive reference solver with the same contract as
     :func:`gospa.assignment.solve_full_assignment`.
 
-    Enumerates every injection of rows into columns, so inputs are capped
+    Enumerates every injection of rows into columns and ranks them by
+    their exact sums, as ``Fraction``s, keeping the first minimum; reports
+    the chosen pairs' float total summed in row order.  Inputs are capped
     at 7 rows / 8 columns; larger matrices raise ``ValueError``.
     """
     matrix = _validated_matrix(costs)
@@ -62,19 +65,26 @@ def brute_force_assignment(costs) -> AssignmentSet:
         )
 
     cost_rows = matrix.tolist()
+    # every float is a Fraction whose denominator is a power of two, so
+    # over the largest denominator each cost is an exact integer numerator
+    exact_rows = [[Fraction(cost) for cost in row] for row in cost_rows]
+    scale = max(cost.denominator for row in exact_rows for cost in row)
+    numerators = [[int(cost * scale) for cost in row] for row in exact_rows]
     best_cols = None
-    best_cost = math.inf
+    best_cost = None
     # itertools.permutations yields column tuples in lexicographic order, so
-    # keeping the first strict improvement realizes the tie-breaking rule.
+    # keeping the first strict improvement of the exact sum realizes the
+    # tie-breaking rule whatever the costs' rounding.
     for cols in permutations(range(n_cols), n_rows):
-        total = 0.0
-        for i, j in enumerate(cols):
-            total += cost_rows[i][j]
-        if total < best_cost:
+        total = sum(numerators[i][j] for i, j in enumerate(cols))
+        if best_cost is None or total < best_cost:
             best_cost = total
             best_cols = cols
     pairs = tuple((i, j) for i, j in enumerate(best_cols))
-    return AssignmentSet(pairs=pairs, total_cost=best_cost)
+    total = 0.0
+    for i, j in pairs:
+        total += cost_rows[i][j]
+    return AssignmentSet(pairs=pairs, total_cost=total)
 
 
 def gospa_alpha2_assignment_oracle(x, y, c: float, p: float) -> float:

@@ -849,7 +849,7 @@ def test_importing_the_package_loads_no_cli_module():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import gospa; "
             "print(sorted({'gospa.cli', 'gospa.documents', 'argparse', 'csv', 'json', "
-            "'scipy', 'hypothesis'} & set(sys.modules)))")
+            "'scipy', 'hypothesis', 'fractions', 'decimal'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 

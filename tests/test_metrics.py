@@ -829,6 +829,18 @@ def test_an_exact_tie_that_float_sums_break_takes_the_tie_rule():
     assert solve_full_assignment(costs).pairs == ((0, 1), (1, 2), (2, 0))
 
 
+def test_a_tie_of_the_same_floats_in_other_rows_takes_the_tie_rule():
+    # ((0, 1), (1, 0)) and ((0, 0), (2, 1)) both cost 0.4**2 + 0.2**2 plus
+    # one miss, but in other rows, so their float row-ordered sums differ
+    table = [[0.4, 0.2], [0.4, 1.0], [1.0, 0.2]]
+    distance = lambda a, b: table[int(a[0])][int(b[0])]  # noqa: E731
+    truth, estimate = [[0.0], [1.0], [2.0]], [[0.0], [1.0]]
+    result = gospa(truth, estimate, GospaParams(c=1.0, p=2.0, base_distance=distance))
+    assert result.assignment.pairs == ((0, 0), (2, 1))
+    assert result.assignment.pairs == gospa_alpha2_gamma_oracle(
+        truth, estimate, 1.0, 2.0, distance=distance)
+
+
 def test_a_cost_entry_beyond_the_float_range_is_a_value_error():
     xs, ys = np.zeros((2, 1, 2)), np.ones((2, 2, 2))
     for stack in ((xs, ys), (xs, ys[:, :0]), (xs[:, :0], ys)):
