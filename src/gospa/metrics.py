@@ -316,13 +316,15 @@ def _padded_edges(xs: np.ndarray, x_present: np.ndarray, ys: np.ndarray,
 
 
 def _cut_powers(c: float, p: float) -> float:
-    """``c**p`` by Python's float ``**``, libm's ``pow``, as every root and
-    outer power is taken, whatever real types c and p come as: the cost of
-    a pair at distance c or more, and alpha times that of a missed or false
-    target.  :func:`_solve` takes it once per p for every sum and penalty.
-    Raises ValueError when it is beyond the float range."""
+    """``c**p`` by :func:`_power`, the rule of every root and outer power,
+    whatever real types c and p come as: the cost of a pair at distance c
+    or more, and alpha times that of a missed or false target.  At p = 2 it
+    is ``c * c``, as NumPy's ``distance ** 2`` prices every edge, so no
+    edge closer than c costs more.  :func:`_solve` takes it once per p for
+    every sum and penalty.  Raises ValueError when it is beyond the float
+    range."""
     try:
-        return float(c) ** float(p)
+        return _power(float(c), float(p))
     except OverflowError:
         raise ValueError("cost matrix entries must be finite") from None
 
@@ -531,15 +533,42 @@ def _gamma(edges, k_x: int, k_y: int, cuts: dict):
 
 
 def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Each value to the power ``exponent`` by Python's float ``**``, which
-    is libm's ``pow``, and OverflowError where a power exceeds the float
-    range.  The array goes through one object-dtype ``np.power`` call, so
-    each element is a Python float powered by a Python float; NumPy's
-    float64 power, and ``np.sqrt`` or ``v * v`` for the exponents 1/2 and
-    2, differ from libm in the last bit for some values."""
-    if exponent == 1.0:  # pow(v, 1) is v
+    """Each value to the power ``exponent``, and OverflowError where a power
+    of a finite value exceeds the float range, with no NumPy warning.
+
+    The exponents 1, 1/2 and 2 take correctly rounded IEEE operations,
+    ``v``, ``np.sqrt(v)`` and ``v * v``, which give the same bits on every
+    IEEE-754 host and whatever SIMD code NumPy dispatches.  Any other
+    exponent goes through one object-dtype ``np.power`` call, so each
+    element is a Python float powered by a Python float, libm's ``pow``,
+    which is not correctly rounded and may differ between C libraries.
+    :func:`_power` is the scalar twin."""
+    if exponent == 1.0:
         return values
+    if exponent == 0.5:
+        return np.sqrt(values)
+    if exponent == 2.0:
+        with np.errstate(over="ignore"):
+            squares = values * values
+        if not np.isfinite(squares).all() and (np.isinf(squares) & np.isfinite(values)).any():
+            raise OverflowError("a square exceeds the float range")
+        return squares
     return np.power(values.astype(object), float(exponent)).astype(float)
+
+
+def _power(value: float, exponent: float) -> float:
+    """``value`` to the power ``exponent`` for one Python float, bit for bit
+    as :func:`_powers` takes it in an array."""
+    if exponent == 1.0:
+        return value
+    if exponent == 0.5:
+        return math.sqrt(value)
+    if exponent == 2.0:
+        square = value * value
+        if math.isinf(square) and math.isfinite(value):
+            raise OverflowError("a square exceeds the float range")
+        return square
+    return value ** exponent
 
 
 def _slot_sums(slots: np.ndarray) -> np.ndarray:

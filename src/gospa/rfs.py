@@ -55,8 +55,8 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .metrics import (GospaParams, _evaluate_each, _evaluate_padded, _is_finite, _powers,
-                      _require_same_dimension, as_state_array)
+from .metrics import (GospaParams, _evaluate_each, _evaluate_padded, _is_finite, _power,
+                      _powers, _require_same_dimension, as_state_array)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -435,7 +435,8 @@ def _estimate_from_powers(powers: np.ndarray, p_primes: Sequence[float]) -> list
     The moments of all rows are taken in one pass.  A mean or standard
     deviation along the rows of a C-contiguous array sums each row as a
     1-D call on it does, so every estimate is bit for bit that of its row
-    alone; the rest is scalar arithmetic per row.
+    alone; the rest is scalar arithmetic per row, with the root by the
+    power rule of ``metrics._power``.
     """
     n = powers.shape[1]
     # each row scaled by a power of two, which is exact, so that neither
@@ -450,7 +451,7 @@ def _estimate_from_powers(powers: np.ndarray, p_primes: Sequence[float]) -> list
     for mean_scaled, std_scaled, exponent, p_prime in zip(means, stds, exponents.tolist(),
                                                           p_primes):
         mean_power = math.ldexp(mean_scaled, exponent)
-        value = mean_power ** (1.0 / p_prime)
+        value = _power(mean_power, 1.0 / p_prime)
         if n > 1 and mean_power > 0.0:
             standard_error = std_scaled / math.sqrt(n) / (p_prime * mean_scaled) * value
         else:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -289,7 +290,7 @@ TABLE1_GOLDEN_SHA256 = {
     ("text", "6"): "b218ccdf9ebf49a9c620458df3d2bbd1624f9682189401414651c328206a4e65",
     ("csv", "6"): "45eab5e28811dcd409d03f663bb1c5b45f6b4d0259a14286185038d9fa21f01f",
     ("text", "17"): "d729df886555b0bf7d741bf86d3e09b97e56c3f70bce5aae3351ca4e2145bab6",
-    ("csv", "17"): "e5729f33989d035a90742c44a2e46862fb8ee89a8426025d10394f99185e0295",
+    ("csv", "17"): "859c496120de371a84bb0b882c3fb8ecb2e6ccfca935519eddc39f956ee79ceb",
 }
 
 
@@ -360,9 +361,9 @@ def _digest(value) -> str:
 # SHA-256 of the whole stdout of two full-precision runs, and the first 8
 # hex digits of each cell's digest, to name the first cell that moved.
 FULL_PRECISION_GOLDEN = {
-    "table1": ("cc2a27024188b7c77fc7e8a2e2ffd3a4c115f1b9a2c057be887c8be1a605b21a",
+    "table1": ("c5384017e2241c3c5028378668ae64e134f7557223c0ad41bc42a3adf1c9930a",
                "d3c40a30 a1b7bbba 05b8f55d ae8c0ece bd248813 4236805f 45297cb6 2660251c "
-               "366dbcba 469e89d7 cdab410c 2eb38b5c 1f58cbf6 99dc4f05 c335b0d8 09697ab8 "
+               "366dbcba 469e89d7 cdab410c 2eb38b5c 1f58cbf6 99dc4f05 c335b0d8 b3d4d73d "
                "e04a8db4 4c00e92e 23ce9f08 82503240 e602bd0d bd206c7c ef4e8e90 84dd23a9 "
                "7dbc238a 755e5e5c 13e09d58 385e6273 682e8900 b57b3bb5 c0139f13 fb82220b "
                "3994bbea 1fe73076 bcd7e5a5 08bab9e2 2e6d81b7 9854947f a2b52c07 af621ae2 "
@@ -395,6 +396,54 @@ def test_full_precision_stdout_is_pinned(capsys, tmp_path, command):
              if k >= len(expected) or _digest(value)[:8] != expected[k]]
     pytest.fail(f"{command} stdout changed; first differing cell: "
                 f"{moved[0] if moved else 'none (the layout changed)'}")
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+# NumPy's dispatch lowered from AVX-512 to AVX2, in the child process alone
+LOWERED_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+@pytest.mark.skipif(not all(_cpu_features().get(name) for name in
+                            LOWERED_DISPATCH["NPY_DISABLE_CPU_FEATURES"].split()),
+                    reason="NumPy dispatches no AVX-512 code on this host")
+def test_outputs_do_not_depend_on_numpys_simd_dispatch(tmp_path):
+    # At p = 1 and 2 every power and root is a correctly rounded IEEE
+    # operation, whatever code NumPy dispatches.  Any other p is left out:
+    # there each edge's d**p is NumPy's float64 power, chosen per CPU, and
+    # a total may move in the last bit.
+    probe = subprocess.run(
+        [sys.executable, "-c", "from numpy._core._multiarray_umath import __cpu_features__; "
+         "print(__cpu_features__['X86_V4'])"],
+        env={**os.environ, **LOWERED_DISPATCH}, capture_output=True, text=True, timeout=120)
+    assert probe.stdout == "False\n", probe.stderr
+    commands = [["table1", "--samples", "1000", "--seed", "1"],
+                ["compute", *clustered_point_files(tmp_path), "--c", "2", "--p", "2"]]
+    for argv in commands:
+        outputs = [subprocess.run(
+            [sys.executable, "-m", "gospa", *argv, "--format", "json", "--precision", "17"],
+            env={**os.environ, **lowered}, capture_output=True, text=True, timeout=120)
+            for lowered in ({}, LOWERED_DISPATCH)]
+        assert [done.returncode for done in outputs] == [0, 0], outputs[1].stderr
+        assert outputs[0].stdout == outputs[1].stdout
+
+
+def test_a_zero_total_at_p_2_prints_0(capsys, example_files):
+    # the square root of a zero total is +0.0, as libm's pow gives it
+    truth, _, _ = example_files
+    code, out, _ = run_cli(capsys, "compute", truth, truth, "--c", "8", "--p", "2")
+    assert code == 0
+    assert "total: 0\n" in out
+    code, out, _ = run_cli(capsys, "compute", truth, truth, "--c", "8", "--p", "2",
+                           "--metric", "ospa", "--format", "json", "--precision", "17")
+    assert code == 0
+    assert '"total": 0.0\n' in out
 
 
 class TestMean:
@@ -592,6 +641,22 @@ def test_overflowing_outer_power_exit_2(capsys, remote_models, options):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "overflows" in err
+
+
+@pytest.mark.parametrize("options, error", [
+    (["--p", "1", "--p-prime", "2"], "a metric value to the power p' = 2 overflows a float"),
+    (["--p", "2"], "cost matrix entries must be finite"),
+])
+def test_an_overflowing_square_prints_only_the_error(remote_models, options, error):
+    # at p' = 2 and p = 2 a square is v * v, which overflows to inf rather
+    # than raising as pow does; it is still an input error, with no warning
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gospa", "mean", *remote_models,
+         "--c", "1e200", *options, "--samples", "50"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: {error}\n"
 
 
 def test_standard_error_of_huge_values_is_finite(remote_models):

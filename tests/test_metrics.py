@@ -387,9 +387,11 @@ def test_roots_are_pythons_powers(monkeypatch, power_bases, p):
                         lambda *args: ({2.0: totals, 1.0: totals}, None))
     values, _ = metrics._solve((sample, slot, slot, np.full(len(sample), 0.5)), x_present,
                                y_present, c, 2.0, {p: ALL_NAMES})
-    roots = np.array([t ** (1.0 / p) for t in totals.tolist()])
+    # the square root at p = 2, libm's pow at any other p but 1
+    root = math.sqrt if p == 2.0 else lambda t: t ** (1.0 / p)
+    roots = np.array([root(t) for t in totals.tolist()])
     assert values["gospa", p].tobytes() == values["uospa", p].tobytes() == roots.tobytes()
-    ospa_roots = np.array([min((t / max(a, b)) ** (1.0 / p), c) if pair else c * (a + b > 0)
+    ospa_roots = np.array([min(root(t / max(a, b)), c) if pair else c * (a + b > 0)
                            for t, a, b, pair in zip(totals.tolist(), n_x.tolist(),
                                                     n_y.tolist(), paired.tolist())])
     assert values["ospa", p].tobytes() == ospa_roots.tobytes()
@@ -1222,15 +1224,21 @@ def test_left_to_right_sums_are_not_numpys(shape):
     assert not np.array_equal(left_to_right_sums(slots), slots.sum(axis=1))
 
 
+# the exponents that take a correctly rounded IEEE operation instead of pow
+IEEE_POWERS = {0.5: math.sqrt, 2.0: lambda value: value * value}
+
+
 @pytest.mark.parametrize("exponent", [1.0 / 3.7, 1.0 / 400.0, 0.5, 2.0, 1.0 / 3.0, 3.7])
 def test_powers_are_libm_pow(power_bases, exponent):
+    # libm's pow, except at 1/2 and 2: the square root and the product
     values, powers = [], []
     for value in power_bases.tolist():
         try:
-            powers.append(math.pow(value, exponent))
+            power = math.pow(value, exponent)
         except OverflowError:
             continue
         values.append(value)
+        powers.append(IEEE_POWERS[exponent](value) if exponent in IEEE_POWERS else power)
     got = metrics._powers(np.array(values), exponent)
     assert got.dtype == np.float64
     assert got.tobytes() == np.array(powers).tobytes()
@@ -1242,6 +1250,67 @@ def test_powers_of_nothing_and_the_identity_and_overflow():
     assert metrics._powers(values, 1.0).tobytes() == values.tobytes()
     with pytest.raises(OverflowError):
         metrics._powers(values, 2.0)
+
+
+# the largest float whose square is finite
+LARGEST_SQUARE_ROOT = math.sqrt(sys.float_info.max)
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-324, LARGEST_SQUARE_ROOT,
+                                   math.nextafter(LARGEST_SQUARE_ROOT, math.inf)])
+@pytest.mark.parametrize("exponent", [0.5, 2.0])
+def test_ieee_powers_at_the_ends_of_the_range(value, exponent):
+    # the array rule, its scalar twin and c**p give one value, the IEEE
+    # operation's, and a square beyond the float range raises OverflowError
+    # (ValueError for c**p) without a NumPy warning
+    expected = IEEE_POWERS[exponent](value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if math.isinf(expected):
+            with pytest.raises(OverflowError):
+                metrics._powers(np.array([1.0, value]), exponent)
+            with pytest.raises(OverflowError):
+                metrics._power(value, exponent)
+            with pytest.raises(ValueError, match="finite"):
+                metrics._cut_powers(value, exponent)
+            return
+        got = metrics._powers(np.array([value]), exponent)
+        assert got.tobytes() == np.array([expected]).tobytes()
+        assert np.array([metrics._power(value, exponent)]).tobytes() == got.tobytes()
+        assert np.array([metrics._cut_powers(value, exponent)]).tobytes() == got.tobytes()
+
+
+def test_ieee_powers_build_no_object_array(monkeypatch):
+    # the object-dtype route is libm's pow, for the other exponents only
+    values = np.array([0.0, 5e-324, 1.7, 1e150])
+    monkeypatch.setattr(np, "power", None)
+    assert metrics._powers(values, 0.5).tobytes() == np.sqrt(values).tobytes()
+    assert metrics._powers(values, 2.0).tobytes() == (values * values).tobytes()
+    assert metrics._powers(values, 1.0) is values
+
+
+def test_a_square_of_infinity_is_not_an_overflow():
+    # as pow(inf, 2) is inf, only a finite value's square overflows
+    values = np.array([1.0, math.inf])
+    assert metrics._powers(values, 2.0).tobytes() == values.tobytes()
+    assert metrics._power(math.inf, 2.0) == math.inf
+
+
+@given(st.floats(1e-150, 1e150), st.floats(0.0, 1.0, exclude_max=True))
+@example(1.0, 0.0)
+# glibc's pow(c, 2) is one ulp below c * c here, and the float below c is
+# the closest edge
+@example(10.867964462777106, 1.0 - 2.0 ** -53)
+def test_the_cut_prices_every_edge_at_or_below_itself(c, fraction):
+    # at p = 2 an edge costs NumPy's distance ** 2, the correctly rounded
+    # product, which is monotone: no edge closer than c costs more than
+    # c**p, and an edge at c costs c**p exactly; libm's pow(c, 2) may lie
+    # one ulp below c * c
+    cut = metrics._cut_powers(c, 2)
+    distance = np.array([min(c * fraction, math.nextafter(c, 0.0)), c])
+    closer, at_c = (distance ** 2.0).tolist()
+    assert closer <= cut
+    assert at_c == cut == c * c
 
 
 # --- one cut-off power ---------------------------------------------------------
